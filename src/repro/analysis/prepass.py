@@ -36,7 +36,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
 
-from ..core.concurroid import Concurroid
+from ..core.concurroid import Concurroid, ProtocolGraph, state_graph
 from ..core.state import State
 from ..core.verify import set_prepass
 from .specs import probe_self_framed
@@ -76,12 +76,12 @@ class StaticPrepass:
     ) -> bool:
         """True iff the stability BFS for ``assertion`` is provably empty."""
         self.consulted += 1
-        states = tuple(states)
-        if not states:
+        graph = state_graph(conc, states)
+        if not graph.states:
             return False
-        if not self._env_closed_and_self_preserving(conc, states):
+        if not self._env_closed_and_self_preserving(graph):
             return False
-        framed, __ = probe_self_framed(assertion, states)
+        framed, __ = probe_self_framed(assertion, graph.states)
         if not framed:
             return False
         self.skipped.append(name)
@@ -109,22 +109,20 @@ class StaticPrepass:
 
     # -- the amortized model sweep ------------------------------------------
 
-    def _env_closed_and_self_preserving(
-        self, conc: Concurroid, states: tuple[State, ...]
-    ) -> bool:
+    def _env_closed_and_self_preserving(self, graph: ProtocolGraph) -> bool:
+        conc, states = graph.conc, graph.states
         key = (id(conc), len(states), hash(states))
         if key not in self._sweeps:
             self._pinned.append(conc)
-            self._sweeps[key] = self._sweep(conc, states)
+            self._sweeps[key] = self._sweep(graph)
         return self._sweeps[key]
 
     @staticmethod
-    def _sweep(conc: Concurroid, states: tuple[State, ...]) -> bool:
-        universe = set(states)
+    def _sweep(graph: ProtocolGraph) -> bool:
         try:
-            for s in states:
-                for s2 in conc.env_moves(s):
-                    if s2 not in universe:
+            for s in graph.states:
+                for s2 in graph.env_successors(s):
+                    if s2 not in graph:
                         return False  # family is not env-closed
                     for lbl in s.labels():
                         if s2.self_of(lbl) != s.self_of(lbl):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from ..heap import Ptr
-from .concurroid import Concurroid
+from .concurroid import Concurroid, ProtocolGraph, state_graph
 from .errors import MetatheoryViolation
 from .state import State, SubjState
 
@@ -87,17 +87,22 @@ def check_action(
     *,
     max_issues: int = 10,
 ) -> list[ActionIssue]:
-    """Check every per-action obligation over coherent ``states``."""
+    """Check every per-action obligation over coherent ``states``.
+
+    Coherence and transition successors are read off the state graph of
+    the action's concurroid (see :func:`~repro.core.concurroid.state_graph`).
+    """
     issues: list[ActionIssue] = []
     conc = action.concurroid
+    graph = state_graph(conc, states)
     args_family = tuple(args_family)
 
     def report(condition: str, witness: str) -> bool:
         issues.append(ActionIssue(action.name, condition, witness))
         return len(issues) >= max_issues
 
-    for s in states:
-        if not conc.coherent(s):
+    for s in graph.states:
+        if not graph.coherent(s):
             continue
         for args in args_family:
             if not action.safe(s, *args):
@@ -108,7 +113,7 @@ def check_action(
                 if report("totality", f"step raised {exc!r} at {s!r} args={args!r}"):
                     return issues
                 continue
-            if not conc.coherent(s2):
+            if not graph.coherent(s2):
                 if report("totality", f"incoherent post-state at {s!r} args={args!r}"):
                     return issues
             for lbl in conc.labels:
@@ -118,10 +123,10 @@ def check_action(
             if not _erasure_ok(action, s, s2, args):
                 if report("erasure", f"real-heap change outside footprint at {s!r} args={args!r}"):
                     return issues
-            if not _corresponds(action, s, s2):
+            if not _corresponds(graph, s, s2):
                 if report("transition-correspondence", f"{s!r} --{action.name}--> {s2!r}"):
                     return issues
-            if not _local(action, s, args, value, s2):
+            if not _local(action, graph, s, args, value, s2):
                 if report("locality", f"outcome depends on `other` at {s!r} args={args!r}"):
                     return issues
     return issues
@@ -153,25 +158,20 @@ class _Missing:
 _MISSING = _Missing()
 
 
-def _corresponds(action: Action, s: State, s2: State) -> bool:
+def _corresponds(graph: ProtocolGraph, s: State, s2: State) -> bool:
     """``s2`` is ``s`` (idle) or one transition step away."""
-    if s2 == s:
-        return True
-    for t in action.concurroid.transitions():
-        for __, succ in t.successors(s):
-            if succ == s2:
-                return True
-    return False
+    return s2 == s or s2 in graph.successors(s)
 
 
-def _local(action: Action, s: State, args: tuple, value: Any, s2: State) -> bool:
+def _local(
+    action: Action, graph: ProtocolGraph, s: State, args: tuple, value: Any, s2: State
+) -> bool:
     """Frameability (the Separation-Logic frame property, §3.4): running
     the action with a *larger* ``self`` — obtained by pulling a summand
     ``b`` out of ``other`` into ``self``, which fork-join closure keeps
     coherent — must yield the same result value, the same joint effect,
     and a final ``self`` that still carries the frame ``b``."""
-    conc = action.concurroid
-    pcms = conc.pcms()
+    pcms = action.concurroid.pcms()
     for lbl, pcm in pcms.items():
         if lbl not in s:
             continue
@@ -182,7 +182,7 @@ def _local(action: Action, s: State, args: tuple, value: Any, s2: State) -> bool
             framed = s.set(
                 lbl, SubjState(pcm.join(comp.self_, frame), comp.joint, rest)
             )
-            if not conc.coherent(framed) or not action.safe(framed, *args):
+            if not graph.coherent(framed) or not action.safe(framed, *args):
                 continue
             try:
                 value_framed, s2_framed = action.step(framed, *args)

@@ -180,21 +180,23 @@ def check_concurroid(
 
     and for every coherent state, **fork-join closure** — realigning
     ``self``/``other`` (moving a PCM summand across the subjective split)
-    stays coherent.
+    stays coherent.  Coherence is read off the state graph (see
+    :func:`state_graph`).
     """
     issues: list[MetatheoryIssue] = []
     name = type(conc).__name__
+    graph = state_graph(conc, states)
 
     def report(condition: str, transition: str, witness: str) -> bool:
         issues.append(MetatheoryIssue(name, condition, transition, witness))
         return len(issues) >= max_issues
 
-    for s in states:
-        if not conc.coherent(s):
+    for s in graph.states:
+        if not graph.coherent(s):
             continue
         for t in conc.transitions():
             for p, s2 in t.successors(s):
-                if not conc.coherent(s2):
+                if not graph.coherent(s2):
                     if report("coherence-preservation", t.name, f"{s!r} --{p!r}--> {s2!r}"):
                         return issues
                 for lbl in conc.labels:
@@ -204,7 +206,7 @@ def check_concurroid(
                 if conc.preserves_footprint and not _footprint_preserved(conc, s, s2):
                     if report("footprint-preservation", t.name, f"{s!r} --{p!r}--> {s2!r}"):
                         return issues
-        for issue_witness in _fork_join_counterexamples(conc, s):
+        for issue_witness in _fork_join_counterexamples(conc, s, graph.coherent):
             if report("fork-join-closure", "", issue_witness):
                 return issues
     return issues
@@ -220,12 +222,15 @@ def _footprint_preserved(conc: Concurroid, s: State, s2: State) -> bool:
     return True
 
 
-def _fork_join_counterexamples(conc: Concurroid, s: State) -> Iterator[str]:
+def _fork_join_counterexamples(
+    conc: Concurroid, s: State, coherent: Callable[[State], bool]
+) -> Iterator[str]:
     """Yield witnesses of fork-join closure failures at state ``s``.
 
     Closure: if ``[a • b | j | o]`` is coherent then so is ``[a | j | b • o]``
     (and symmetrically back).  We check all splits of ``self`` pushed into
     ``other``, and all splits of ``other`` pulled into ``self``.
+    ``coherent`` is ``conc``'s coherence predicate (a graph's memo of it).
     """
     pcms = conc.pcms()
     for lbl, pcm in pcms.items():
@@ -234,12 +239,108 @@ def _fork_join_counterexamples(conc: Concurroid, s: State) -> Iterator[str]:
         comp = s[lbl]
         for a, b in pcm.splits(comp.self_):
             realigned = s.set(lbl, SubjState(a, comp.joint, pcm.join(b, comp.other)))
-            if not conc.coherent(realigned):
+            if not coherent(realigned):
                 yield f"label {lbl}: self split ({a!r}, {b!r}) at {s!r}"
         for a, b in pcm.splits(comp.other):
             realigned = s.set(lbl, SubjState(pcm.join(comp.self_, b), comp.joint, a))
-            if not conc.coherent(realigned):
+            if not coherent(realigned):
                 yield f"label {lbl}: other split ({a!r}, {b!r}) at {s!r}"
+
+
+# -- the protocol state graph --------------------------------------------------------
+
+
+class ProtocolGraph:
+    """The protocol state graph of ``conc`` over a finite state family.
+
+    Holds the family's states (in the order the checkers visit them) and,
+    per member, its environment successors, its transition successors and
+    its coherence verdict — the facts every Conc, Acts and Stab obligation
+    over the family re-derives otherwise.  Iterating a graph yields
+    :attr:`states`, so it stands in for a state list.
+
+    Every table is keyed by the family's own (first-seen) ``State``
+    objects and every edge names members by those same objects, so the
+    graph pins no state beyond its members: a query with an *equal*
+    fresh state reads the memo without storing the fresh copy.  Facts
+    about non-members are computed per query and never stored.
+    :func:`protocol_closure` fills the edge tables while it enumerates
+    the closure; every other entry is filled on its member's first query
+    (so a coherence verdict is computed at most once per member).
+    """
+
+    #: fcsl-deps: the dependency walker must not traverse the tables.
+    #: They hold only facts derived from ``conc``, which every checker
+    #: call names itself, so walking them adds nothing to a cone.
+    __deps_opaque__ = True
+
+    def __init__(self, conc: Concurroid, states: Iterable[State]) -> None:
+        self.conc = conc
+        #: the family, duplicates and order kept (checkers visit it as is)
+        self.states: tuple[State, ...] = tuple(states)
+        self._members: dict[State, State] = {}
+        for s in self.states:
+            self._members.setdefault(s, s)
+        #: member -> its distinct environment successors, in move order
+        self.env: dict[State, tuple[State, ...]] = {}
+        #: member -> its distinct transition successors, in step order
+        self.trans: dict[State, tuple[State, ...]] = {}
+        #: member -> ``conc.coherent(member)``
+        self.coherence: dict[State, bool] = {}
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __iter__(self) -> Iterator[State]:
+        return iter(self.states)
+
+    def __contains__(self, state: object) -> bool:
+        return state in self._members
+
+    def coherent(self, state: State) -> bool:
+        known = self.coherence.get(state)
+        if known is None:
+            known = self.conc.coherent(state)
+            member = self._members.get(state)
+            if member is not None:
+                self.coherence[member] = known
+        return known
+
+    def env_successors(self, state: State) -> tuple[State, ...]:
+        """``conc.env_moves(state)``, duplicates dropped."""
+        return self._edges(self.env, state, self.conc.env_moves)
+
+    def successors(self, state: State) -> tuple[State, ...]:
+        """Every state one ``conc.transitions()`` step away, duplicates dropped."""
+        return self._edges(self.trans, state, self._steps)
+
+    def _steps(self, state: State) -> Iterator[State]:
+        for t in self.conc.transitions():
+            for __, succ in t.successors(state):
+                yield succ
+
+    def _edges(
+        self,
+        table: dict[State, tuple[State, ...]],
+        state: State,
+        moves: Callable[[State], Iterable[State]],
+    ) -> tuple[State, ...]:
+        known = table.get(state)
+        if known is None:
+            members = self._members
+            known = tuple(members.get(s2, s2) for s2 in dict.fromkeys(moves(state)))
+            member = members.get(state)
+            if member is not None:
+                table[member] = known
+        return known
+
+
+def state_graph(conc: Concurroid, states: Iterable[State]) -> ProtocolGraph:
+    """The state graph a checker for ``conc`` reads: ``states`` itself
+    when it is a graph of ``conc``, else a graph built for this call."""
+    if isinstance(states, ProtocolGraph) and states.conc is conc:
+        return states
+    return ProtocolGraph(conc, states)
 
 
 def protocol_closure(
@@ -247,37 +348,45 @@ def protocol_closure(
     initials: Iterable[State],
     *,
     max_states: int = 20_000,
-) -> set[State]:
+) -> ProtocolGraph:
     """All states reachable from ``initials`` by *any* protocol step —
     the observing thread's transitions or environment steps.
 
     This is the finite model over which metatheory and stability
     obligations are discharged: every state an execution can inhabit under
-    the protocol (from the modelled initial states).
+    the protocol (from the modelled initial states).  The result is the
+    :class:`ProtocolGraph` of the closure, its states in ``repr`` order,
+    keeping every edge the enumeration found.
     """
     from collections import deque
 
-    seen: set[State] = set()
+    seen: dict[State, State] = {}
     frontier: deque[State] = deque()
     for s in initials:
         if s not in seen:
-            seen.add(s)
+            seen[s] = s
             frontier.append(s)
+    trans: dict[State, tuple[State, ...]] = {}
+    env: dict[State, tuple[State, ...]] = {}
     while frontier:
         current = frontier.popleft()
-        successors: list[State] = []
-        for t in conc.transitions():
-            successors.extend(s2 for __, s2 in t.successors(current))
-        successors.extend(conc.env_moves(current))
-        for succ in successors:
+        steps = [s2 for t in conc.transitions() for __, s2 in t.successors(current)]
+        moves = list(conc.env_moves(current))
+        for succ in steps + moves:
             if succ not in seen:
                 if len(seen) >= max_states:
                     raise MetatheoryViolation(
                         f"protocol closure exceeded {max_states} states; shrink the model"
                     )
-                seen.add(succ)
+                seen[succ] = succ
                 frontier.append(succ)
-    return seen
+        # Edges name the first-seen objects; the fresh copies die here.
+        trans[current] = tuple(seen[s2] for s2 in dict.fromkeys(steps))
+        env[current] = tuple(seen[s2] for s2 in dict.fromkeys(moves))
+    graph = ProtocolGraph(conc, sorted(seen, key=repr))
+    graph.trans = trans
+    graph.env = env
+    return graph
 
 
 def assert_metatheory(conc: Concurroid, states: Iterable[State]) -> None:

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .concurroid import Concurroid
+from .concurroid import Concurroid, state_graph
 from .errors import StabilityViolation
 from .state import State
 
@@ -76,19 +76,24 @@ def check_stability(
     """Check ``assertion`` stable from every state in ``states`` where it
     holds (and which is coherent).
 
+    Each such start gets its own BFS (capped at ``max_states``) over the
+    environment edges of the state graph (see
+    :func:`~repro.core.concurroid.state_graph`); the assertion is
+    evaluated at most once per state per call.
+
     When a static pre-pass is installed (see
     :mod:`repro.analysis.prepass`), it is consulted first: if it proves
     the exploration must find nothing, the BFS is skipped entirely and
     the (identical) empty verdict returned.
     """
-    states = list(states)  # the pre-pass must not consume a caller's iterator
+    graph = state_graph(conc, states)
     # Function-local import: core must stay cycle-free.
     from .verify import get_prepass, record_prepass_skip
 
     prepass = get_prepass()
     if prepass is not None:
         try:
-            if prepass.discharges(assertion, name, conc, states):
+            if prepass.discharges(assertion, name, conc, graph):
                 # Attribute the skip to the innermost in-flight obligation
                 # (scoped, so nested/concurrent obligations stay honest).
                 record_prepass_skip(name)
@@ -96,16 +101,24 @@ def check_stability(
         except Exception:  # noqa: BLE001 - a broken pre-pass must never fail a proof
             pass
 
+    verdicts: dict[State, bool] = {}
+
+    def holds(s: State) -> bool:
+        known = verdicts.get(s)
+        if known is None:
+            known = verdicts[s] = bool(assertion(s))
+        return known
+
     issues: list[StabilityIssue] = []
-    for start in states:
-        if not conc.coherent(start) or not assertion(start):
+    for start in graph.states:
+        if not graph.coherent(start) or not holds(start):
             continue
         seen = {start: 0}
         parents: dict[State, State] = {}
         frontier = deque([start])
         while frontier:
             current = frontier.popleft()
-            for succ in conc.env_moves(current):
+            for succ in graph.env_successors(current):
                 if succ in seen:
                     continue
                 if len(seen) >= max_states:
@@ -114,7 +127,7 @@ def check_stability(
                     )
                 seen[succ] = seen[current] + 1
                 parents[succ] = current
-                if not assertion(succ):
+                if not holds(succ):
                     issue = StabilityIssue(name, start, succ, seen[succ])
                     issues.append(issue)
                     _record_stability_witness(issue, parents)

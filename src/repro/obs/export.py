@@ -7,8 +7,9 @@ export is a direct mapping onto the Chrome trace-event format — the file
 per engine worker and the explorer/cache counters as tracks.
 
 The same records feed ``repro profile``: spans aggregate into a hotspot
-table (calls, total/mean/max wall time per span name) and the instant
-events into counter totals (configs explored, prunes, cache hits…).
+table (calls, total/mean/max wall time per span name), and the numeric
+args of spans and instant/counter events into counter totals (configs
+explored, prunes, cache hits…).
 """
 
 from __future__ import annotations
@@ -84,11 +85,12 @@ def hotspots(records: Iterable[Record]) -> list[dict[str, Any]]:
 
 
 def counter_totals(records: Iterable[Record]) -> dict[str, float]:
-    """Numeric args of instant events summed per ``event.key`` name —
-    the sweep-wide totals (configs explored, prunes, cache hits…)."""
+    """Numeric args of spans, instant and counter events summed per
+    ``event.key`` name — the sweep-wide totals (configs explored, prunes,
+    cache hits…).  Explorer facts ride on the ``explore`` span's args."""
     totals: dict[str, float] = {}
     for ph, name, __, ___, ____, *_____, args in records:
-        if ph not in (PH_INSTANT, PH_COUNTER):
+        if ph not in (PH_SPAN, PH_INSTANT, PH_COUNTER):
             continue
         for key, value in args.items():
             if isinstance(value, bool):
@@ -103,13 +105,13 @@ def render_profile(records: Iterable[Record], *, limit: int = 25) -> str:
     records = list(records)
     rows = hotspots(records)
     lines = [
-        "hotspots (span wall time)",
-        f"{'span':<44} {'cat':<12} {'calls':>6} {'total':>9} {'mean':>8} {'max':>8}",
+        "hotspots (span wall time, ms)",
+        f"{'span':<44} {'cat':<12} {'calls':>6} {'total ms':>10} {'mean ms':>9} {'max ms':>9}",
     ]
     for row in rows[:limit]:
         lines.append(
             f"{row['name'][:44]:<44} {row['cat'][:12]:<12} {row['calls']:>6} "
-            f"{row['total_ms']:>8.1f}m {row['mean_ms']:>7.2f}m {row['max_ms']:>7.1f}m"
+            f"{row['total_ms']:>10.1f} {row['mean_ms']:>9.2f} {row['max_ms']:>9.1f}"
         )
     if len(rows) > limit:
         lines.append(f"(+{len(rows) - limit} more span name(s))")

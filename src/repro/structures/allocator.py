@@ -320,9 +320,7 @@ def verify_cg_allocator(*, env_budget: int = 1) -> "VerificationReport":
         alloc.initial_state(pool=(101, 102)),
         alloc.initial_state(pool=(101,), my_heap=pts(ptr(103), 0)),
     ]
-    states = sorted(
-        protocol_closure(alloc.concurroid, initials, max_states=50_000), key=repr
-    )
+    states = protocol_closure(alloc.concurroid, initials, max_states=50_000)
 
     def pool_lemmas() -> list:
         issues = []

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..core.concurroid import protocol_closure
+from ..core.concurroid import ProtocolGraph, protocol_closure
 from ..core.entangle import Priv
 from ..core.prog import Prog, bind, par, seq
 from ..core.spec import Scenario, Spec
@@ -137,17 +137,14 @@ def make_world(lock: CASLock) -> World:
     return World((Priv(PRIV_LABEL), lock.concurroid))
 
 
-def model_states(lock: CASLock, aux_bound: int = 2) -> list[State]:
+def model_states(lock: CASLock, aux_bound: int = 2) -> ProtocolGraph:
     """The finite model: protocol closure of small initial states."""
     initials = [
         initial_state(lock, a, b)
         for a in range(aux_bound + 1)
         for b in range(aux_bound + 1)
     ]
-    return sorted(
-        protocol_closure(lock.concurroid, initials, max_states=20_000),
-        key=repr,
-    )
+    return protocol_closure(lock.concurroid, initials, max_states=20_000)
 
 
 # -- the full verification (Table 1 row "CG increment") -----------------------------------

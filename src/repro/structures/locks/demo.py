@@ -158,7 +158,7 @@ def verify_two_lock_demo(*, aux_bound: int = 1, env_budget: int = 1) -> Verifica
     for lock in (la, lb):
         conc = lock.concurroid
         lbl = conc.label
-        states = sorted(protocol_closure(conc, initials, max_states=50_000), key=repr)
+        states = protocol_closure(conc, initials, max_states=50_000)
         builder.obligation(
             f"{lbl}-pcm-laws",
             "Libs",
@@ -294,7 +294,7 @@ def verify_unfair_lock(
         for a in range(aux_bound + 1)
         for b in range(aux_bound + 1)
     ]
-    states = sorted(protocol_closure(conc, initials, max_states=50_000), key=repr)
+    states = protocol_closure(conc, initials, max_states=50_000)
 
     builder.obligation(
         "subjective-pcm-laws", "Libs", lambda: check_all_laws(conc.pcms()[LABEL])

@@ -118,7 +118,7 @@ def _verify_lock(
         for a in range(aux_bound + 1)
         for b in range(aux_bound + 1)
     ]
-    states = sorted(protocol_closure(conc, initials, max_states=50_000), key=repr)
+    states = protocol_closure(conc, initials, max_states=50_000)
 
     # Libs: the PCM algebra the lock's subjective state lives in.
     builder.obligation(

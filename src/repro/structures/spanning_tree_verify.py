@@ -22,12 +22,11 @@ import random
 from itertools import combinations
 from typing import Iterable
 
-from ..core.concurroid import check_concurroid, protocol_closure
+from ..core.concurroid import ProtocolGraph, check_concurroid, protocol_closure
 from ..core.action import check_action
 from ..core.entangle import Priv
 from ..core.spec import Scenario
 from ..core.stability import check_stability
-from ..core.state import State
 from ..core.verify import ReportBuilder, VerificationReport, check_triple, triple_issues
 from ..core.world import World
 from ..graphs.enumerate import all_graphs, random_connected_graph
@@ -62,13 +61,13 @@ def root_world() -> World:
 # -- model families ------------------------------------------------------------------------
 
 
-def span_model_states(conc: SpanTreeConcurroid, max_nodes: int = 2) -> list[State]:
+def span_model_states(conc: SpanTreeConcurroid, max_nodes: int = 2) -> ProtocolGraph:
     """Protocol closure of all unmarked graphs on ``<= max_nodes`` nodes."""
     initials = []
     for n in range(max_nodes + 1):
         for h in all_graphs(n):
             initials.append(open_world_state(conc, h))
-    return sorted(protocol_closure(conc, initials, max_states=50_000), key=repr)
+    return protocol_closure(conc, initials, max_states=50_000)
 
 
 def open_world_scenarios(conc: SpanTreeConcurroid, n: int) -> Iterable[tuple[Ptr, Scenario]]:
@@ -311,7 +310,7 @@ def _check_subgraph_lemmas() -> list[str]:
     return issues
 
 
-def _check_subgraph_env_monotone(conc: SpanTreeConcurroid, states: list[State]) -> list[str]:
+def _check_subgraph_env_monotone(conc: SpanTreeConcurroid, states: ProtocolGraph) -> list[str]:
     """Lemma ``subgraph_steps``: environment steps of SpanTree only produce
     ``subgraph``-successors (the main stability workhorse of §3.2)."""
     issues: list[str] = []

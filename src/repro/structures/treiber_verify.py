@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..core.action import check_action
-from ..core.concurroid import check_concurroid, protocol_closure
+from ..core.concurroid import ProtocolGraph, check_concurroid, protocol_closure
 from ..core.prog import par
 from ..core.spec import Scenario, Spec
 from ..core.stability import check_stability
@@ -49,7 +49,7 @@ def model_structure() -> TreiberStructure:
     return TreiberStructure(max_ops=2, pool=(101,), value_domain=(1,))
 
 
-def model_states(structure: TreiberStructure, max_states: int = 60_000) -> list[State]:
+def model_states(structure: TreiberStructure, max_states: int = 60_000) -> ProtocolGraph:
     initials = [
         structure.initial_state(),
         structure.initial_state(stack_nodes=[(60, 1)], other_hist=hist((1, (), (1,)))),
@@ -59,13 +59,10 @@ def model_states(structure: TreiberStructure, max_states: int = 60_000) -> list[
             other_hist=hist((1, (), (1,))),
         ),
     ]
-    return sorted(
-        protocol_closure(structure.concurroid, initials, max_states=max_states),
-        key=repr,
-    )
+    return protocol_closure(structure.concurroid, initials, max_states=max_states)
 
 
-def _replay_agreement(states: list[State], structure: TreiberStructure) -> list[str]:
+def _replay_agreement(states: ProtocolGraph, structure: TreiberStructure) -> list[str]:
     """Lemma: on every coherent model state the concrete chain from TOP
     equals the history replay (the linearizability anchor)."""
     issues = []

@@ -415,11 +415,29 @@ class TestExport:
         totals = counter_totals(records)
         assert totals["hit.count"] == 2
         assert totals["depth.depth"] == 5.0
+        assert totals["outer.n"] == 1  # span args are summed too
+
+    def test_counters_sum_span_args_across_calls(self):
+        with tracer.tracing() as tr:
+            for explored in (3, 4):
+                with tracer.span("explore", "explore", explored=explored, por_active=True):
+                    pass
+            with tracer.span("obligation", "verify", program="not-a-number"):
+                pass
+        totals = counter_totals(tr.records)
+        assert totals["explore.explored"] == 7
+        assert totals["explore.por_active"] == 2
+        assert not any(key.startswith("obligation.") for key in totals)
 
     def test_render_profile(self):
         text = render_profile(self._records())
         assert "hotspots" in text and "outer" in text
-        assert "counters" in text
+        assert "counters" in text and "outer.n" in text
+        header = text.splitlines()[1]
+        assert "total ms" in header and "mean ms" in header and "max ms" in header
+        row = next(line for line in text.splitlines() if line.startswith("outer"))
+        # plain numbers under the ms header: no unit suffix that reads as minutes
+        assert not any(cell.endswith("m") for cell in row.split()[2:])
         assert "(no spans recorded)" in render_profile([])
 
 

@@ -1,0 +1,612 @@
+"""The protocol-graph checkers against the checkers they replaced.
+
+``check_concurroid``, ``check_action`` and ``check_stability`` read
+successors and coherence off a :class:`~repro.core.concurroid.ProtocolGraph`.
+The section below keeps a verbatim copy of the three checkers (and their
+private helpers) as they were when each obligation re-derived those
+facts itself; the only edit is the absolute import of the pre-pass hook.
+Every case asserts that the new checker returns the same ``str(issue)``
+list, or raises the same exception, as the copy -- for a closure graph,
+for a plain ``repr``-sorted list, and for a graph that was built for a
+different concurroid (which the checker must not read).
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Any, Callable, Iterable, Iterator, Sequence
+
+import pytest
+
+from repro.core import action as action_mod
+from repro.core import concurroid as conc_mod
+from repro.core import stability as stability_mod
+from repro.core.action import Action, ActionIssue
+from repro.core.concurroid import (
+    Concurroid,
+    MetatheoryIssue,
+    ProtocolGraph,
+    Transition,
+    protocol_closure,
+    state_graph,
+)
+from repro.core.errors import StabilityViolation
+from repro.core.stability import StabilityIssue, _record_stability_witness
+from repro.core.state import State, SubjState
+from repro.heap import Heap
+from repro.structures.locks.verify import (
+    RES_CELL,
+    lock_initial_state,
+    make_counter_cas_lock,
+    make_counter_ticketed_lock,
+)
+
+from .helpers import CELL, BumpAction, CounterConcurroid, ReadCounterAction, counter_state
+
+Assertion = Callable[[State], bool]
+
+
+# -- reference copy: the checkers before the protocol graph ----------------------
+
+
+def check_concurroid(
+    conc: Concurroid,
+    states: Iterable[State],
+    *,
+    max_issues: int = 10,
+) -> list[MetatheoryIssue]:
+    """Check the FCSL metatheory side conditions over a finite state family.
+
+    For every coherent state and enabled transition the checker verifies:
+
+    * **coherence preservation** — the post-state is coherent;
+    * **other preservation** — ``other`` is unchanged at every owned label;
+    * **footprint preservation** — heap-valued joints keep their domain
+      (when ``conc.preserves_footprint``);
+
+    and for every coherent state, **fork-join closure** — realigning
+    ``self``/``other`` (moving a PCM summand across the subjective split)
+    stays coherent.
+    """
+    issues: list[MetatheoryIssue] = []
+    name = type(conc).__name__
+
+    def report(condition: str, transition: str, witness: str) -> bool:
+        issues.append(MetatheoryIssue(name, condition, transition, witness))
+        return len(issues) >= max_issues
+
+    for s in states:
+        if not conc.coherent(s):
+            continue
+        for t in conc.transitions():
+            for p, s2 in t.successors(s):
+                if not conc.coherent(s2):
+                    if report("coherence-preservation", t.name, f"{s!r} --{p!r}--> {s2!r}"):
+                        return issues
+                for lbl in conc.labels:
+                    if lbl in s and s2.other_of(lbl) != s.other_of(lbl):
+                        if report("other-preservation", t.name, f"label {lbl} at {s!r}"):
+                            return issues
+                if conc.preserves_footprint and not _footprint_preserved(conc, s, s2):
+                    if report("footprint-preservation", t.name, f"{s!r} --{p!r}--> {s2!r}"):
+                        return issues
+        for issue_witness in _fork_join_counterexamples(conc, s):
+            if report("fork-join-closure", "", issue_witness):
+                return issues
+    return issues
+
+
+def _footprint_preserved(conc: Concurroid, s: State, s2: State) -> bool:
+    for lbl in conc.labels:
+        if lbl not in s or lbl not in s2:
+            continue
+        j1, j2 = s.joint_of(lbl), s2.joint_of(lbl)
+        if isinstance(j1, Heap) and isinstance(j2, Heap) and j1.dom() != j2.dom():
+            return False
+    return True
+
+
+def _fork_join_counterexamples(conc: Concurroid, s: State) -> Iterator[str]:
+    """Yield witnesses of fork-join closure failures at state ``s``.
+
+    Closure: if ``[a • b | j | o]`` is coherent then so is ``[a | j | b • o]``
+    (and symmetrically back).  We check all splits of ``self`` pushed into
+    ``other``, and all splits of ``other`` pulled into ``self``.
+    """
+    pcms = conc.pcms()
+    for lbl, pcm in pcms.items():
+        if lbl not in s:
+            continue
+        comp = s[lbl]
+        for a, b in pcm.splits(comp.self_):
+            realigned = s.set(lbl, SubjState(a, comp.joint, pcm.join(b, comp.other)))
+            if not conc.coherent(realigned):
+                yield f"label {lbl}: self split ({a!r}, {b!r}) at {s!r}"
+        for a, b in pcm.splits(comp.other):
+            realigned = s.set(lbl, SubjState(pcm.join(comp.self_, b), comp.joint, a))
+            if not conc.coherent(realigned):
+                yield f"label {lbl}: other split ({a!r}, {b!r}) at {s!r}"
+
+
+def check_action(
+    action: Action,
+    states: Iterable[State],
+    args_family: Iterable[tuple] = ((),),
+    *,
+    max_issues: int = 10,
+) -> list[ActionIssue]:
+    """Check every per-action obligation over coherent ``states``."""
+    issues: list[ActionIssue] = []
+    conc = action.concurroid
+    args_family = tuple(args_family)
+
+    def report(condition: str, witness: str) -> bool:
+        issues.append(ActionIssue(action.name, condition, witness))
+        return len(issues) >= max_issues
+
+    for s in states:
+        if not conc.coherent(s):
+            continue
+        for args in args_family:
+            if not action.safe(s, *args):
+                continue
+            try:
+                value, s2 = action.step(s, *args)
+            except Exception as exc:  # noqa: BLE001 - reported as a finding
+                if report("totality", f"step raised {exc!r} at {s!r} args={args!r}"):
+                    return issues
+                continue
+            if not conc.coherent(s2):
+                if report("totality", f"incoherent post-state at {s!r} args={args!r}"):
+                    return issues
+            for lbl in conc.labels:
+                if lbl in s and s2.other_of(lbl) != s.other_of(lbl):
+                    if report("other-preservation", f"label {lbl} at {s!r} args={args!r}"):
+                        return issues
+            if not _erasure_ok(action, s, s2, args):
+                if report("erasure", f"real-heap change outside footprint at {s!r} args={args!r}"):
+                    return issues
+            if not _corresponds(action, s, s2):
+                if report("transition-correspondence", f"{s!r} --{action.name}--> {s2!r}"):
+                    return issues
+            if not _local(action, s, args, value, s2):
+                if report("locality", f"outcome depends on `other` at {s!r} args={args!r}"):
+                    return issues
+    return issues
+
+
+def _erasure_ok(action: Action, s: State, s2: State, args: tuple) -> bool:
+    """The real-heap delta must lie within the declared footprint, and a
+    non-allocating action must preserve the heap domain (pure RMW)."""
+    before = action.concurroid.real_heap(s)
+    after = action.concurroid.real_heap(s2)
+    if not before.is_valid or not after.is_valid:
+        return False
+    fp = action.footprint(s, *args)
+    if not action.allocates and before.dom() != after.dom():
+        return False
+    changed = {
+        p
+        for p in before.dom() | after.dom()
+        if before.get(p, _MISSING) != after.get(p, _MISSING)
+    }
+    return changed <= fp
+
+
+class _Missing:
+    def __repr__(self) -> str:
+        return "<absent>"
+
+
+_MISSING = _Missing()
+
+
+def _corresponds(action: Action, s: State, s2: State) -> bool:
+    """``s2`` is ``s`` (idle) or one transition step away."""
+    if s2 == s:
+        return True
+    for t in action.concurroid.transitions():
+        for __, succ in t.successors(s):
+            if succ == s2:
+                return True
+    return False
+
+
+def _local(action: Action, s: State, args: tuple, value: Any, s2: State) -> bool:
+    """Frameability (the Separation-Logic frame property, §3.4): running
+    the action with a *larger* ``self`` — obtained by pulling a summand
+    ``b`` out of ``other`` into ``self``, which fork-join closure keeps
+    coherent — must yield the same result value, the same joint effect,
+    and a final ``self`` that still carries the frame ``b``."""
+    conc = action.concurroid
+    pcms = conc.pcms()
+    for lbl, pcm in pcms.items():
+        if lbl not in s:
+            continue
+        comp = s[lbl]
+        for frame, rest in list(pcm.splits(comp.other))[:8]:
+            if pcm.is_unit(frame):
+                continue
+            framed = s.set(
+                lbl, SubjState(pcm.join(comp.self_, frame), comp.joint, rest)
+            )
+            if not conc.coherent(framed) or not action.safe(framed, *args):
+                continue
+            try:
+                value_framed, s2_framed = action.step(framed, *args)
+            except Exception:  # noqa: BLE001 - totality reports elsewhere
+                return False
+            if value_framed != value:
+                return False
+            if s2_framed.joint_of(lbl) != s2.joint_of(lbl):
+                return False
+            expected_self = pcm.join(s2.self_of(lbl), frame)
+            if s2_framed.self_of(lbl) != expected_self:
+                return False
+    return True
+
+
+def check_stability(
+    assertion: Assertion,
+    name: str,
+    conc: Concurroid,
+    states: Iterable[State],
+    *,
+    max_states: int = 5_000,
+    max_issues: int = 5,
+) -> list[StabilityIssue]:
+    """Check ``assertion`` stable from every state in ``states`` where it
+    holds (and which is coherent).
+
+    When a static pre-pass is installed (see
+    :mod:`repro.analysis.prepass`), it is consulted first: if it proves
+    the exploration must find nothing, the BFS is skipped entirely and
+    the (identical) empty verdict returned.
+    """
+    states = list(states)  # the pre-pass must not consume a caller's iterator
+    # Function-local import: core must stay cycle-free.
+    from repro.core.verify import get_prepass, record_prepass_skip
+
+    prepass = get_prepass()
+    if prepass is not None:
+        try:
+            if prepass.discharges(assertion, name, conc, states):
+                # Attribute the skip to the innermost in-flight obligation
+                # (scoped, so nested/concurrent obligations stay honest).
+                record_prepass_skip(name)
+                return []
+        except Exception:  # noqa: BLE001 - a broken pre-pass must never fail a proof
+            pass
+
+    issues: list[StabilityIssue] = []
+    for start in states:
+        if not conc.coherent(start) or not assertion(start):
+            continue
+        seen = {start: 0}
+        parents: dict[State, State] = {}
+        frontier = deque([start])
+        while frontier:
+            current = frontier.popleft()
+            for succ in conc.env_moves(current):
+                if succ in seen:
+                    continue
+                if len(seen) >= max_states:
+                    raise StabilityViolation(
+                        f"stability exploration for {name!r} exceeded {max_states} states"
+                    )
+                seen[succ] = seen[current] + 1
+                parents[succ] = current
+                if not assertion(succ):
+                    issue = StabilityIssue(name, start, succ, seen[succ])
+                    issues.append(issue)
+                    _record_stability_witness(issue, parents)
+                    if len(issues) >= max_issues:
+                        return issues
+                    continue  # don't explore past a broken state
+                frontier.append(succ)
+    return issues
+
+
+# -- fixtures ------------------------------------------------------------------
+
+
+class Decoy(Concurroid):
+    """A concurroid over the same labels whose graph answers differently
+    from the real one everywhere: all coherent, no steps at all."""
+
+    def __init__(self, labels: tuple[str, ...]):
+        self._labels = labels
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self._labels
+
+    def coherent(self, state: State) -> bool:
+        return True
+
+    def transitions(self) -> Sequence[Transition]:
+        return ()
+
+
+def foreign_graph(graph: ProtocolGraph) -> ProtocolGraph:
+    """The same states in a graph of a :class:`Decoy`, every table filled."""
+    decoy = ProtocolGraph(Decoy(graph.conc.labels), graph.states)
+    for s in decoy.states:
+        decoy.coherent(s)
+        decoy.env_successors(s)
+        decoy.successors(s)
+    return decoy
+
+
+class OtherBumpConcurroid(CounterConcurroid):
+    """Illegally bumps ``other`` instead of ``self``."""
+
+    def transitions(self) -> Sequence[Transition]:
+        lbl = self.label
+
+        def effect(state: State, __: Any) -> State:
+            def upd(comp: SubjState) -> SubjState:
+                return SubjState(
+                    comp.self_,
+                    comp.joint.update(CELL, comp.joint[CELL] + 1),
+                    comp.other + 1,
+                )
+
+            return state.update(lbl, upd)
+
+        return (
+            Transition(
+                f"{lbl}.bad",
+                lambda s, __: s.joint_of(lbl)[CELL] < self._cap,
+                effect,
+            ),
+        )
+
+
+class DoubleBumpAction(BumpAction):
+    """Adds two at once: coherent, but no transition takes that step."""
+
+    def step(self, state: State, *args: Any) -> tuple[int, State]:
+        lbl = self._conc.label
+        comp = state[lbl]
+        value = comp.joint[CELL]
+        new = SubjState(comp.self_ + 2, comp.joint.update(CELL, value + 2), comp.other)
+        return value, state.set(lbl, new)
+
+    def safe(self, state: State, *args: Any) -> bool:
+        return super().safe(state) and state.joint_of(self._conc.label)[CELL] < 2
+
+
+def _counter_family():
+    conc = CounterConcurroid(cap=3)
+    graph = protocol_closure(conc, [counter_state(conc), counter_state(conc, 1, 1)])
+    lbl = conc.label
+    actions = [
+        (BumpAction(conc), [()]),
+        (ReadCounterAction(conc), [()]),
+        (DoubleBumpAction(conc), [()]),
+    ]
+    assertions = [
+        ("self >= 1", lambda s: s.self_of(lbl) >= 1),
+        ("cell <= 1", lambda s: s.joint_of(lbl)[CELL] <= 1),
+        ("other == 0", lambda s: s.other_of(lbl) == 0),
+    ]
+    return conc, graph, actions, assertions
+
+
+def _lock_family(lock, actions):
+    conc = lock.concurroid
+    initials = [lock_initial_state(lock, a, b) for a in range(2) for b in range(2)]
+    graph = protocol_closure(conc, initials, max_states=50_000)
+    assertions = [
+        ("quiescent", lock.quiescent),
+        ("holds", lock.holds),
+        ("not holds", lambda s: not lock.holds(s)),
+        ("self aux = 1", lambda s: lock.client_self(s) == 1),
+    ]
+    return conc, graph, actions, assertions
+
+
+def _cas_family():
+    lock = make_counter_cas_lock()
+    return _lock_family(
+        lock,
+        [
+            (lock.try_acquire_action, [()]),
+            (lock.read_action, [(RES_CELL,)]),
+            (lock.write_action, [(RES_CELL, 0), (RES_CELL, 2)]),
+        ],
+    )
+
+
+def _ticketed_family():
+    lock = make_counter_ticketed_lock()
+    return _lock_family(
+        lock,
+        [
+            (lock.draw_action, [()]),
+            (lock.read_owner_action, [()]),
+            (lock.read_action, [(RES_CELL,)]),
+            (lock.write_action, [(RES_CELL, 0), (RES_CELL, 2)]),
+        ],
+    )
+
+
+def _other_bump_family():
+    conc = OtherBumpConcurroid(cap=3)
+    graph = protocol_closure(conc, [counter_state(conc)])
+    lbl = conc.label
+    assertions = [("other == 0", lambda s: s.other_of(lbl) == 0)]
+    return conc, graph, [], assertions
+
+
+FAMILIES = {
+    "counter": _counter_family,
+    "cas-lock": _cas_family,
+    "ticketed-lock": _ticketed_family,
+    "other-bump": _other_bump_family,
+}
+
+FORMS = {
+    "closure-graph": lambda graph: graph,
+    "sorted-list": lambda graph: sorted(graph, key=repr),
+    "foreign-graph": foreign_graph,
+}
+
+
+def outcome(fn: Callable, *args: Any, **kwargs: Any) -> tuple:
+    """What a checker call produced: its issue strings or its exception."""
+    try:
+        return ("issues", [str(i) for i in fn(*args, **kwargs)])
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return ("raised", type(exc).__name__, str(exc))
+
+
+@pytest.fixture(scope="module", params=sorted(FAMILIES))
+def family(request):
+    return FAMILIES[request.param]()
+
+
+@pytest.fixture(params=sorted(FORMS))
+def form(request):
+    return FORMS[request.param]
+
+
+# -- equivalence -----------------------------------------------------------------
+
+
+class TestMatchesReference:
+    def test_concurroid(self, family, form):
+        conc, graph, __, ___ = family
+        ref_states = sorted(graph, key=repr)
+        for max_issues in (10, 1):
+            assert outcome(
+                conc_mod.check_concurroid, conc, form(graph), max_issues=max_issues
+            ) == outcome(check_concurroid, conc, ref_states, max_issues=max_issues)
+
+    def test_actions(self, family, form):
+        __, graph, actions, ___ = family
+        ref_states = sorted(graph, key=repr)
+        for action, args in actions:
+            for max_issues in (10, 2):
+                assert outcome(
+                    action_mod.check_action,
+                    action,
+                    form(graph),
+                    args,
+                    max_issues=max_issues,
+                ) == outcome(check_action, action, ref_states, args, max_issues=max_issues)
+
+    def test_stability(self, family, form):
+        conc, graph, __, assertions = family
+        ref_states = sorted(graph, key=repr)
+        for name, assertion in assertions:
+            for kwargs in ({}, {"max_issues": 2}, {"max_states": 3}):
+                assert outcome(
+                    stability_mod.check_stability,
+                    assertion,
+                    name,
+                    conc,
+                    form(graph),
+                    **kwargs,
+                ) == outcome(check_stability, assertion, name, conc, ref_states, **kwargs)
+
+
+class TestCasesAreExercised:
+    """The equivalence cases above are only worth something if the
+    reference finds issues and raises where they claim to look."""
+
+    def test_other_mutation_found(self):
+        conc, graph, __, ___ = _other_bump_family()
+        found = check_concurroid(conc, sorted(graph, key=repr))
+        assert any(i.condition == "other-preservation" for i in found)
+
+    def test_unmatched_step_found(self):
+        __, graph, actions, ___ = _counter_family()
+        double = actions[-1][0]
+        found = check_action(double, sorted(graph, key=repr))
+        assert any(i.condition == "transition-correspondence" for i in found)
+
+    def test_unstable_truncated_and_capped(self):
+        conc, graph, __, assertions = _ticketed_family()
+        not_holds = dict(assertions)["not holds"]
+        states = sorted(graph, key=repr)
+        assert len(check_stability(not_holds, "not holds", conc, states)) == 5
+        assert len(check_stability(not_holds, "not holds", conc, states, max_issues=2)) == 2
+        with pytest.raises(StabilityViolation):
+            check_stability(not_holds, "not holds", conc, states, max_states=3)
+
+
+# -- the graph itself ----------------------------------------------------------------
+
+
+class TestProtocolGraph:
+    def test_closure_is_a_sorted_state_family(self):
+        conc, graph, __, ___ = _counter_family()
+        assert isinstance(graph, ProtocolGraph)
+        assert list(graph) == sorted(graph.states, key=repr)
+        assert len(graph) == len(set(graph.states)) == len(graph.states)
+        assert all(s in graph for s in graph)
+
+    def test_state_graph_reuses_only_its_own_concurroid(self):
+        conc, graph, __, ___ = _counter_family()
+        assert state_graph(conc, graph) is graph
+        rebuilt = state_graph(CounterConcurroid(cap=3), graph)
+        assert rebuilt is not graph and rebuilt.states == graph.states
+        listed = state_graph(conc, list(graph))
+        assert listed.conc is conc and listed.states == graph.states
+
+    def test_closure_edges_match_the_concurroid(self):
+        conc, graph, __, ___ = _ticketed_family()
+        for s in graph.states:
+            assert graph.env[s] == tuple(dict.fromkeys(conc.env_moves(s)))
+            assert graph.trans[s] == tuple(
+                dict.fromkeys(s2 for t in conc.transitions() for __, s2 in t.successors(s))
+            )
+
+
+class TestCanonicalKeys:
+    """Memory regression: the graph must pin no state beyond its members.
+    Keying a memo by the first *equal* fresh state a query brings keeps
+    that duplicate alive for as long as the graph lives."""
+
+    @staticmethod
+    def assert_canonical(graph: ProtocolGraph) -> None:
+        members = {id(s) for s in graph.states}
+        for table in (graph.env, graph.trans, graph.coherence):
+            assert table
+            assert all(id(key) in members for key in table)
+        for table in (graph.env, graph.trans):
+            for succs in table.values():
+                assert all(id(s) in members for s in succs)
+
+    def test_after_all_checkers(self):
+        conc, graph, actions, assertions = _ticketed_family()
+        conc_mod.check_concurroid(conc, graph)
+        for action, args in actions:
+            action_mod.check_action(action, graph, args)
+        for name, assertion in assertions:
+            stability_mod.check_stability(assertion, name, conc, graph)
+        assert len(graph.coherence) == len(graph.states)
+        self.assert_canonical(graph)
+
+    def test_equal_fresh_queries_store_the_member(self):
+        conc, closure, __, ___ = _counter_family()
+        graph = ProtocolGraph(conc, closure.states)
+        for s in graph.states:
+            fresh = s.transpose().transpose()
+            assert fresh == s and fresh is not s
+            graph.coherent(fresh)
+            graph.env_successors(fresh)
+            graph.successors(fresh)
+        self.assert_canonical(graph)
+
+    def test_non_members_are_not_stored(self):
+        conc, graph, __, ___ = _counter_family()
+        outside = counter_state(conc, 9, 9)
+        assert outside not in graph
+        before = (len(graph.env), len(graph.trans), len(graph.coherence))
+        graph.coherent(outside)
+        graph.env_successors(outside)
+        graph.successors(outside)
+        assert (len(graph.env), len(graph.trans), len(graph.coherence)) == before
