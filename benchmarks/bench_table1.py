@@ -10,6 +10,9 @@ the shape claims (who has "-" entries, who dominates, who is slowest).
 
 from __future__ import annotations
 
+import os
+import platform
+
 import pytest
 
 from repro.eval.table1 import PAPER_TABLE1, Table1Row, check_shape, render
@@ -47,7 +50,8 @@ def test_table1_render_and_shape(benchmark, out_dir):
         if info.name not in _ROWS:
             _run(info)
     rows = [_ROWS[info.name] for info in all_programs()]
-    emit(out_dir, "table1.txt", render(rows))
+    host = f"measured serially on a {os.cpu_count()}-core host, Python {platform.python_version()}"
+    emit(out_dir, "table1.txt", render(rows) + "\n" + host)
     issues = check_shape(rows)
     assert not issues, issues
     # Paper-relative ordering spot checks.

@@ -21,14 +21,17 @@ states:
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from ..heap import Ptr
+from ..heap import Heap, Ptr
+from ..obs import tracer as obs_tracer
+from ..pcm.base import PCM
 from .concurroid import Concurroid, ProtocolGraph, state_graph
 from .errors import MetatheoryViolation
-from .state import State, SubjState
+from .state import State
 
 
 class Action(ABC):
@@ -89,8 +92,10 @@ def check_action(
 ) -> list[ActionIssue]:
     """Check every per-action obligation over coherent ``states``.
 
-    Coherence and transition successors are read off the state graph of
-    the action's concurroid (see :func:`~repro.core.concurroid.state_graph`).
+    Coherence, transition successors and the framings locality runs on
+    are read off the state graph of the action's concurroid (see
+    :func:`~repro.core.concurroid.state_graph`); the framings and the
+    real heap of a state are built once for all of ``args_family``.
     """
     issues: list[ActionIssue] = []
     conc = action.concurroid
@@ -101,41 +106,69 @@ def check_action(
         issues.append(ActionIssue(action.name, condition, witness))
         return len(issues) >= max_issues
 
-    for s in graph.states:
-        if not graph.coherent(s):
-            continue
-        for args in args_family:
-            if not action.safe(s, *args):
+    # One context-var read per call; the span below is emitted at the end.
+    tr = obs_tracer.current()
+    started = time.perf_counter() if tr is not None else 0.0
+    built = from_mask = 0
+    try:
+        for s in graph.states:
+            if not graph.coherent(s):
                 continue
-            try:
-                value, s2 = action.step(s, *args)
-            except Exception as exc:  # noqa: BLE001 - reported as a finding
-                if report("totality", f"step raised {exc!r} at {s!r} args={args!r}"):
-                    return issues
-                continue
-            if not graph.coherent(s2):
-                if report("totality", f"incoherent post-state at {s!r} args={args!r}"):
-                    return issues
-            for lbl in conc.labels:
-                if lbl in s and s2.other_of(lbl) != s.other_of(lbl):
-                    if report("other-preservation", f"label {lbl} at {s!r} args={args!r}"):
+            heap: Heap | None = None
+            framings: list | None = None
+            for args in args_family:
+                if not action.safe(s, *args):
+                    continue
+                try:
+                    value, s2 = action.step(s, *args)
+                except Exception as exc:  # noqa: BLE001 - reported as a finding
+                    if report("totality", f"step raised {exc!r} at {s!r} args={args!r}"):
                         return issues
-            if not _erasure_ok(action, s, s2, args):
-                if report("erasure", f"real-heap change outside footprint at {s!r} args={args!r}"):
-                    return issues
-            if not _corresponds(graph, s, s2):
-                if report("transition-correspondence", f"{s!r} --{action.name}--> {s2!r}"):
-                    return issues
-            if not _local(action, graph, s, args, value, s2):
-                if report("locality", f"outcome depends on `other` at {s!r} args={args!r}"):
-                    return issues
-    return issues
+                    continue
+                if not graph.coherent(s2):
+                    if report("totality", f"incoherent post-state at {s!r} args={args!r}"):
+                        return issues
+                for lbl in conc.labels:
+                    if lbl in s and s2.other_of(lbl) != s.other_of(lbl):
+                        if report("other-preservation", f"label {lbl} at {s!r} args={args!r}"):
+                            return issues
+                if heap is None:
+                    heap = conc.real_heap(s)
+                if not _erasure_ok(action, heap, s, s2, args):
+                    if report(
+                        "erasure", f"real-heap change outside footprint at {s!r} args={args!r}"
+                    ):
+                        return issues
+                if not _corresponds(graph, s, s2):
+                    if report("transition-correspondence", f"{s!r} --{action.name}--> {s2!r}"):
+                        return issues
+                if framings is None:
+                    found = graph.framings(s)
+                    framings = found.coherent
+                    built += found.built
+                    from_mask += found.from_mask
+                if not _local(action, framings, args, value, s2):
+                    if report("locality", f"outcome depends on `other` at {s!r} args={args!r}"):
+                        return issues
+        return issues
+    finally:
+        if tr is not None:
+            tr.span(
+                "check_action",
+                "core",
+                started * 1e6,
+                time.perf_counter() * 1e6,
+                action=action.name,
+                states=len(graph.states),
+                framings_built=built,
+                framings_from_mask=from_mask,
+            )
 
 
-def _erasure_ok(action: Action, s: State, s2: State, args: tuple) -> bool:
+def _erasure_ok(action: Action, before: Heap, s: State, s2: State, args: tuple) -> bool:
     """The real-heap delta must lie within the declared footprint, and a
-    non-allocating action must preserve the heap domain (pure RMW)."""
-    before = action.concurroid.real_heap(s)
+    non-allocating action must preserve the heap domain (pure RMW).
+    ``before`` is ``s``'s real heap."""
     after = action.concurroid.real_heap(s2)
     if not before.is_valid or not after.is_valid:
         return False
@@ -164,37 +197,33 @@ def _corresponds(graph: ProtocolGraph, s: State, s2: State) -> bool:
 
 
 def _local(
-    action: Action, graph: ProtocolGraph, s: State, args: tuple, value: Any, s2: State
+    action: Action,
+    framings: list[tuple[str, PCM, Any, State]],
+    args: tuple,
+    value: Any,
+    s2: State,
 ) -> bool:
     """Frameability (the Separation-Logic frame property, §3.4): running
     the action with a *larger* ``self`` — obtained by pulling a summand
     ``b`` out of ``other`` into ``self``, which fork-join closure keeps
     coherent — must yield the same result value, the same joint effect,
-    and a final ``self`` that still carries the frame ``b``."""
-    pcms = action.concurroid.pcms()
-    for lbl, pcm in pcms.items():
-        if lbl not in s:
+    and a final ``self`` that still carries the frame ``b``.  ``framings``
+    are the pre-state's coherent framings
+    (:meth:`~repro.core.concurroid.ProtocolGraph.framings`)."""
+    for lbl, pcm, frame, framed in framings:
+        if not action.safe(framed, *args):
             continue
-        comp = s[lbl]
-        for frame, rest in list(pcm.splits(comp.other))[:8]:
-            if pcm.is_unit(frame):
-                continue
-            framed = s.set(
-                lbl, SubjState(pcm.join(comp.self_, frame), comp.joint, rest)
-            )
-            if not graph.coherent(framed) or not action.safe(framed, *args):
-                continue
-            try:
-                value_framed, s2_framed = action.step(framed, *args)
-            except Exception:  # noqa: BLE001 - totality reports elsewhere
-                return False
-            if value_framed != value:
-                return False
-            if s2_framed.joint_of(lbl) != s2.joint_of(lbl):
-                return False
-            expected_self = pcm.join(s2.self_of(lbl), frame)
-            if s2_framed.self_of(lbl) != expected_self:
-                return False
+        try:
+            value_framed, s2_framed = action.step(framed, *args)
+        except Exception:  # noqa: BLE001 - totality reports elsewhere
+            return False
+        if value_framed != value:
+            return False
+        if s2_framed.joint_of(lbl) != s2.joint_of(lbl):
+            return False
+        expected_self = pcm.join(s2.self_of(lbl), frame)
+        if s2_framed.self_of(lbl) != expected_self:
+            return False
     return True
 
 

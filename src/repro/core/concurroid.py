@@ -17,11 +17,13 @@ footprint, and the fork-join closure of the state space.
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..heap import EMPTY, Heap
+from ..obs import tracer as obs_tracer
 from ..pcm.base import PCM
 from .errors import MetatheoryViolation
 from .state import State, SubjState
@@ -180,8 +182,9 @@ def check_concurroid(
 
     and for every coherent state, **fork-join closure** — realigning
     ``self``/``other`` (moving a PCM summand across the subjective split)
-    stays coherent.  Coherence is read off the state graph (see
-    :func:`state_graph`).
+    stays coherent.  Coherence and a state's distinct step targets are
+    read off the state graph (see :func:`state_graph`); the transitions
+    are enumerated again only at a state where some target fails.
     """
     issues: list[MetatheoryIssue] = []
     name = type(conc).__name__
@@ -191,25 +194,71 @@ def check_concurroid(
         issues.append(MetatheoryIssue(name, condition, transition, witness))
         return len(issues) >= max_issues
 
-    for s in graph.states:
-        if not graph.coherent(s):
-            continue
-        for t in conc.transitions():
-            for p, s2 in t.successors(s):
-                if not graph.coherent(s2):
-                    if report("coherence-preservation", t.name, f"{s!r} --{p!r}--> {s2!r}"):
+    # One context-var read per call; the span below is emitted at the end.
+    tr = obs_tracer.current()
+    started = time.perf_counter() if tr is not None else 0.0
+    reenumerated = 0
+    try:
+        for s in graph.states:
+            if not graph.coherent(s):
+                continue
+            if not _steps_preserve(conc, graph, s):
+                reenumerated += 1
+                for issue in _step_issues(conc, graph, s):
+                    if report(*issue):
                         return issues
-                for lbl in conc.labels:
-                    if lbl in s and s2.other_of(lbl) != s.other_of(lbl):
-                        if report("other-preservation", t.name, f"label {lbl} at {s!r}"):
-                            return issues
-                if conc.preserves_footprint and not _footprint_preserved(conc, s, s2):
-                    if report("footprint-preservation", t.name, f"{s!r} --{p!r}--> {s2!r}"):
-                        return issues
-        for issue_witness in _fork_join_counterexamples(conc, s, graph.coherent):
-            if report("fork-join-closure", "", issue_witness):
-                return issues
-    return issues
+            for issue_witness in _fork_join_counterexamples(conc, s, graph.coherent):
+                if report("fork-join-closure", "", issue_witness):
+                    return issues
+        return issues
+    finally:
+        if tr is not None:
+            tr.span(
+                "check_concurroid",
+                "core",
+                started * 1e6,
+                time.perf_counter() * 1e6,
+                concurroid=name,
+                states=len(graph.states),
+                reenumerated=reenumerated,
+            )
+
+
+def _steps_preserve(conc: Concurroid, graph: "ProtocolGraph", s: State) -> bool:
+    """Whether every transition step from ``s`` preserves coherence,
+    ``other`` and the joint footprint.  Each of the three depends only on
+    the pair ``(s, s2)``, so the distinct targets in the graph decide it.
+    Any exception answers False: the caller's enumeration then raises or
+    reports exactly where a step-by-step check would."""
+    try:
+        for s2 in graph.successors(s):
+            if not graph.coherent(s2):
+                return False
+            for lbl in conc.labels:
+                if lbl in s and s2.other_of(lbl) != s.other_of(lbl):
+                    return False
+            if conc.preserves_footprint and not _footprint_preserved(conc, s, s2):
+                return False
+    except Exception:  # noqa: BLE001 - re-enumerated by the caller
+        return False
+    return True
+
+
+def _step_issues(
+    conc: Concurroid, graph: "ProtocolGraph", s: State
+) -> Iterator[tuple[str, str, str]]:
+    """``(condition, transition, witness)`` per failed step obligation
+    at ``s``, enumerating the transitions themselves for the witnesses'
+    transition names and parameters."""
+    for t in conc.transitions():
+        for p, s2 in t.successors(s):
+            if not graph.coherent(s2):
+                yield "coherence-preservation", t.name, f"{s!r} --{p!r}--> {s2!r}"
+            for lbl in conc.labels:
+                if lbl in s and s2.other_of(lbl) != s.other_of(lbl):
+                    yield "other-preservation", t.name, f"label {lbl} at {s!r}"
+            if conc.preserves_footprint and not _footprint_preserved(conc, s, s2):
+                yield "footprint-preservation", t.name, f"{s!r} --{p!r}--> {s2!r}"
 
 
 def _footprint_preserved(conc: Concurroid, s: State, s2: State) -> bool:
@@ -250,6 +299,17 @@ def _fork_join_counterexamples(
 # -- the protocol state graph --------------------------------------------------------
 
 
+class Framings(NamedTuple):
+    """What :meth:`ProtocolGraph.framings` found for one state."""
+
+    #: ``(label, pcm, frame, framed)`` per coherent framing, in split order
+    coherent: list[tuple[str, PCM, Any, State]]
+    #: candidate framings whose coherence this query computed
+    built: int
+    #: candidate framings whose coherence the state's bitmask answered
+    from_mask: int
+
+
 class ProtocolGraph:
     """The protocol state graph of ``conc`` over a finite state family.
 
@@ -287,6 +347,9 @@ class ProtocolGraph:
         self.trans: dict[State, tuple[State, ...]] = {}
         #: member -> ``conc.coherent(member)``
         self.coherence: dict[State, bool] = {}
+        #: member -> which of its candidate framings are coherent, one
+        #: bit per candidate (see :meth:`framings`)
+        self.framing_masks: dict[State, int] = {}
 
     def __len__(self) -> int:
         return len(self.states)
@@ -313,6 +376,53 @@ class ProtocolGraph:
     def successors(self, state: State) -> tuple[State, ...]:
         """Every state one ``conc.transitions()`` step away, duplicates dropped."""
         return self._edges(self.trans, state, self._steps)
+
+    def framings(self, state: State) -> Framings:
+        """The coherent framings of ``state``: for each owned label with
+        a PCM and each of the first 8 splits ``(frame, rest)`` of its
+        ``other`` whose ``frame`` is not the unit, the framed state
+        ``[self • frame | joint | rest]`` (the frame property's larger
+        ``self``, §3.4), when it is coherent.
+
+        A member keeps one int, a bitmask of which candidates are
+        coherent, so a later query rebuilds only the coherent framed
+        states and asks no coherence again.  Framed states themselves
+        are never stored: most are members already, and keeping the
+        others costs more memory than rebuilding them.
+        """
+        mask = self.framing_masks.get(state)
+        coherent: list[tuple[str, PCM, Any, State]] = []
+        built = from_mask = 0
+        new_mask = 0
+        bit = 1
+        for lbl, pcm in self.conc.pcms().items():
+            if lbl not in state:
+                continue
+            comp = state[lbl]
+            for frame, rest in list(pcm.splits(comp.other))[:8]:
+                if pcm.is_unit(frame):
+                    continue
+                if mask is None:
+                    built += 1
+                    framed = state.set(
+                        lbl, SubjState(pcm.join(comp.self_, frame), comp.joint, rest)
+                    )
+                    if self.coherent(framed):
+                        new_mask |= bit
+                        coherent.append((lbl, pcm, frame, framed))
+                else:
+                    from_mask += 1
+                    if mask & bit:
+                        framed = state.set(
+                            lbl, SubjState(pcm.join(comp.self_, frame), comp.joint, rest)
+                        )
+                        coherent.append((lbl, pcm, frame, framed))
+                bit <<= 1
+        if mask is None:
+            member = self._members.get(state)
+            if member is not None:
+                self.framing_masks[member] = new_mask
+        return Framings(coherent, built, from_mask)
 
     def _steps(self, state: State) -> Iterator[State]:
         for t in self.conc.transitions():

@@ -12,17 +12,29 @@ States are immutable and hashable, so the model checker can memoize them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterator, Mapping
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubjState:
     """One labelled component ``[self | joint | other]``."""
 
     self_: Hashable
     joint: Hashable
     other: Hashable
+    #: ``hash((self_, joint, other))``, computed on first use
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.self_, self.joint, self.other)))
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # The cached hash is per process (string hashing is salted), so
+        # it is never pickled.
+        return (SubjState, (self.self_, self.joint, self.other))
 
     def transpose(self) -> "SubjState":
         """Swap ``self`` and ``other`` — the subjective view of the
@@ -60,6 +72,19 @@ class State:
                 raise TypeError(f"state components must be SubjState, got {subj!r}")
         self._hash: int | None = None
 
+    @classmethod
+    def _of(cls, parts: dict[str, SubjState]) -> "State":
+        """A state over ``parts``, which the caller guarantees valid
+        (string labels, :class:`SubjState` components) and hands over."""
+        state = object.__new__(cls)
+        state._parts = parts
+        state._hash = None
+        return state
+
+    def __reduce__(self) -> tuple:
+        # The cached hash is per process, so it is never pickled.
+        return (State, (self._parts,))
+
     # -- getters (§5.3) --------------------------------------------------------
 
     def labels(self) -> frozenset[str]:
@@ -92,9 +117,13 @@ class State:
     # -- functional updates -----------------------------------------------------
 
     def set(self, label: str, subj: SubjState) -> "State":
+        if not isinstance(label, str):
+            raise TypeError(f"labels must be strings, got {label!r}")
+        if not isinstance(subj, SubjState):
+            raise TypeError(f"state components must be SubjState, got {subj!r}")
         parts = dict(self._parts)
         parts[label] = subj
-        return State(parts)
+        return State._of(parts)
 
     def update(self, label: str, fn: Callable[[SubjState], SubjState]) -> "State":
         return self.set(label, fn(self[label]))
@@ -119,7 +148,7 @@ class State:
 
     def transpose(self) -> "State":
         """Transpose every labelled component (whole-state subjectivity flip)."""
-        return State({l: s.transpose() for l, s in self._parts.items()})
+        return State._of({l: s.transpose() for l, s in self._parts.items()})
 
     # -- equality ---------------------------------------------------------------
 

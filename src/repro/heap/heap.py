@@ -43,6 +43,23 @@ class Heap:
             self._is_valid = True
         self._hash: int | None = None
 
+    @classmethod
+    def _of(cls, items: dict[Ptr, Any]) -> "Heap":
+        """A valid heap over ``items``, which the caller guarantees
+        (``Ptr`` keys, no ``NULL``) and hands over."""
+        heap = object.__new__(cls)
+        heap._items = items
+        heap._is_valid = True
+        heap._hash = None
+        return heap
+
+    def __reduce__(self) -> tuple:
+        # The cached hash is per process, so it is never pickled; the
+        # undefined heap unpickles as the ``UNDEF`` singleton.
+        if not self._is_valid:
+            return (_undefined, ())
+        return (Heap, (self._items,))
+
     # -- basic observations -------------------------------------------------
 
     @property
@@ -90,7 +107,7 @@ class Heap:
             return UNDEF
         merged = dict(self._items)
         merged.update(other._items)
-        return Heap(merged)
+        return Heap._of(merged)
 
     def __add__(self, other: "Heap") -> "Heap":
         return self.join(other)
@@ -105,7 +122,7 @@ class Heap:
             return self
         rest = dict(self._items)
         del rest[p]
-        return Heap(rest)
+        return Heap._of(rest)
 
     def update(self, p: Ptr, value: Any) -> "Heap":
         """Strong update of an *existing* pointer; ``UNDEF`` if absent.
@@ -118,7 +135,7 @@ class Heap:
             return UNDEF
         updated = dict(self._items)
         updated[p] = value
-        return Heap(updated)
+        return Heap._of(updated)
 
     def alloc(self, value: Any) -> tuple[Ptr, "Heap"]:
         """Extend the heap with a fresh pointer storing ``value``."""
@@ -134,14 +151,14 @@ class Heap:
         if not self._is_valid:
             return UNDEF
         keep = set(doms)
-        return Heap({p: v for p, v in self._items.items() if p in keep})
+        return Heap._of({p: v for p, v in self._items.items() if p in keep})
 
     def remove_all(self, doms: Iterable[Ptr]) -> "Heap":
         """The sub-heap with ``doms`` removed from the domain."""
         if not self._is_valid:
             return UNDEF
         drop = set(doms)
-        return Heap({p: v for p, v in self._items.items() if p not in drop})
+        return Heap._of({p: v for p, v in self._items.items() if p not in drop})
 
     # -- equality ------------------------------------------------------------
 
@@ -173,6 +190,12 @@ class Heap:
 
 #: The undefined heap — absorbing element of ``\+``.
 UNDEF = Heap(_valid=False)
+
+
+def _undefined() -> Heap:
+    """``UNDEF``, for unpickling."""
+    return UNDEF
+
 
 #: The empty heap — unit of ``\+``.
 EMPTY = Heap({})

@@ -57,6 +57,20 @@ class History:
         self._entries = entries
         self._hash: int | None = None
 
+    @classmethod
+    def _of(cls, entries: dict[int, HistEntry]) -> "History":
+        """A history over ``entries``, which the caller guarantees valid
+        (positive ``int`` timestamps, :class:`HistEntry` values) and
+        hands over."""
+        history = object.__new__(cls)
+        history._entries = entries
+        history._hash = None
+        return history
+
+    def __reduce__(self) -> tuple:
+        # The cached hash is per process, so it is never pickled.
+        return (History, (self._entries,))
+
     def timestamps(self) -> frozenset[int]:
         return frozenset(self._entries)
 
@@ -157,12 +171,12 @@ class HistoryPCM(PCM):
     def join(self, a: Any, b: Any) -> Any:
         if not isinstance(a, History) or not isinstance(b, History):
             return Undef("non-history operand")
-        overlap = a.timestamps() & b.timestamps()
+        overlap = a._entries.keys() & b._entries.keys()
         if overlap:
             return Undef(f"timestamp collision: {sorted(overlap)}")
-        merged = {ts: a[ts] for ts in a.timestamps()}
-        merged.update({ts: b[ts] for ts in b.timestamps()})
-        return History(merged)
+        merged = dict(a._entries)
+        merged.update(b._entries)
+        return History._of(merged)
 
     def valid(self, x: Any) -> bool:
         return isinstance(x, History)
@@ -170,13 +184,14 @@ class HistoryPCM(PCM):
     def splits(self, x: Any) -> Sequence[tuple[History, History]]:
         if not isinstance(x, History):
             return ()
-        timestamps = sorted(x.timestamps())
+        entries = sorted(x._entries.items())
         out = []
-        for mask in range(1 << len(timestamps)):
-            picked = {ts for i, ts in enumerate(timestamps) if mask & (1 << i)}
-            a = History({ts: x[ts] for ts in picked})
-            b = History({ts: x[ts] for ts in timestamps if ts not in picked})
-            out.append((a, b))
+        for mask in range(1 << len(entries)):
+            a: dict[int, HistEntry] = {}
+            b: dict[int, HistEntry] = {}
+            for i, (ts, entry) in enumerate(entries):
+                (a if mask & (1 << i) else b)[ts] = entry
+            out.append((History._of(a), History._of(b)))
         return tuple(out)
 
     def sample(self) -> Sequence[History]:

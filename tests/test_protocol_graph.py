@@ -8,7 +8,10 @@ facts itself; the only edit is the absolute import of the pre-pass hook.
 Every case asserts that the new checker returns the same ``str(issue)``
 list, or raises the same exception, as the copy -- for a closure graph,
 for a plain ``repr``-sorted list, and for a graph that was built for a
-different concurroid (which the checker must not read).
+different concurroid (which the checker must not read).  The families
+include one with incoherent framings (so locality reads framing bitmasks
+back) and one whose transitions break coherence, ``other`` and footprint
+preservation (so Conc enumerates the transitions again).
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from repro.core.concurroid import (
 from repro.core.errors import StabilityViolation
 from repro.core.stability import StabilityIssue, _record_stability_witness
 from repro.core.state import State, SubjState
-from repro.heap import Heap
+from repro.heap import Heap, Ptr, pts
+from repro.obs import tracer
 from repro.structures.locks.verify import (
     RES_CELL,
     lock_initial_state,
@@ -377,6 +381,112 @@ class DoubleBumpAction(BumpAction):
         return super().safe(state) and state.joint_of(self._conc.label)[CELL] < 2
 
 
+SPARE = Ptr(8)
+
+
+class SelfCappedCounter(CounterConcurroid):
+    """A counter whose coherence also caps each thread's ``self``, and
+    whose bump respects the cap: pulling too much out of ``other`` into
+    ``self`` is incoherent, so some framings of a state are coherent and
+    some are not."""
+
+    def __init__(self, cap: int = 4, self_cap: int = 2):
+        super().__init__(cap=cap)
+        self._self_cap = self_cap
+
+    def coherent(self, state: State) -> bool:
+        return super().coherent(state) and state.self_of(self.label) <= self._self_cap
+
+    def transitions(self) -> Sequence[Transition]:
+        lbl = self.label
+        (bump,) = super().transitions()
+        return (
+            Transition(
+                bump.name,
+                lambda s, p: bump.requires(s, p) and s.self_of(lbl) < self._self_cap,
+                bump.effect,
+            ),
+        )
+
+
+class CappedBumpAction(BumpAction):
+    """Bump, defined only below the ``self`` cap."""
+
+    def safe(self, state: State, *args: Any) -> bool:
+        return super().safe(state) and state.self_of(self._conc.label) < self._conc._self_cap
+
+
+class ReadOtherAction(ReadCounterAction):
+    """Returns ``other``: the outcome depends on the environment, so
+    every coherent framing breaks locality."""
+
+    def __init__(self, conc: CounterConcurroid):
+        super().__init__(conc)
+        self.name = f"{conc.label}.read-other"
+
+    def step(self, state: State, *args: Any) -> tuple[int, State]:
+        return state.other_of(self._conc.label), state
+
+
+class BrokenCounter(CounterConcurroid):
+    """The counter plus three transitions that break the metatheory at
+    some states only: ``leak`` bumps ``self`` but not the cell
+    (coherence), ``steal`` bumps ``other`` (other-preservation) and
+    ``grow`` adds a cell to the joint heap (footprint preservation)."""
+
+    def transitions(self) -> Sequence[Transition]:
+        lbl = self.label
+        (bump,) = super().transitions()
+
+        def cell(state: State) -> int:
+            return state.joint_of(lbl)[CELL]
+
+        def leak(state: State, __: Any) -> State:
+            return state.update(lbl, lambda c: c.with_self(c.self_ + 1))
+
+        def steal(state: State, __: Any) -> State:
+            return state.update(
+                lbl,
+                lambda c: SubjState(
+                    c.self_, c.joint.update(CELL, c.joint[CELL] + 1), c.other + 1
+                ),
+            )
+
+        def grow(state: State, __: Any) -> State:
+            return state.update(lbl, lambda c: c.with_joint(c.joint.join(pts(SPARE, 0))))
+
+        return (
+            bump,
+            Transition(f"{lbl}.leak", lambda s, __: cell(s) == 1 and s.self_of(lbl) == 0, leak),
+            Transition(f"{lbl}.steal", lambda s, __: cell(s) == 2, steal),
+            Transition(f"{lbl}.grow", lambda s, __: SPARE not in s.joint_of(lbl), grow),
+        )
+
+
+def _framing_family():
+    conc = SelfCappedCounter()
+    initials = [counter_state(conc, a, b) for a in range(2) for b in range(3)]
+    graph = protocol_closure(conc, initials)
+    lbl = conc.label
+    actions = [
+        (ReadCounterAction(conc), [()]),
+        (CappedBumpAction(conc), [()]),
+        (ReadOtherAction(conc), [()]),
+        (BumpAction(conc), [()]),
+    ]
+    assertions = [("self <= 1", lambda s: s.self_of(lbl) <= 1)]
+    return conc, graph, actions, assertions
+
+
+def _broken_family():
+    conc = BrokenCounter(cap=3)
+    graph = protocol_closure(conc, [counter_state(conc), counter_state(conc, 0, 1)])
+    lbl = conc.label
+    actions = [(BumpAction(conc), [()]), (ReadCounterAction(conc), [()])]
+    assertions = [("cell <= 2", lambda s: s.joint_of(lbl)[CELL] <= 2)]
+    return conc, graph, actions, assertions
+
+
 def _counter_family():
     conc = CounterConcurroid(cap=3)
     graph = protocol_closure(conc, [counter_state(conc), counter_state(conc, 1, 1)])
@@ -442,6 +552,8 @@ def _other_bump_family():
 
 FAMILIES = {
     "counter": _counter_family,
+    "framing": _framing_family,
+    "broken": _broken_family,
     "cas-lock": _cas_family,
     "ticketed-lock": _ticketed_family,
     "other-bump": _other_bump_family,
@@ -479,7 +591,7 @@ class TestMatchesReference:
     def test_concurroid(self, family, form):
         conc, graph, __, ___ = family
         ref_states = sorted(graph, key=repr)
-        for max_issues in (10, 1):
+        for max_issues in (10, 3, 1):
             assert outcome(
                 conc_mod.check_concurroid, conc, form(graph), max_issues=max_issues
             ) == outcome(check_concurroid, conc, ref_states, max_issues=max_issues)
@@ -527,6 +639,24 @@ class TestCasesAreExercised:
         found = check_action(double, sorted(graph, key=repr))
         assert any(i.condition == "transition-correspondence" for i in found)
 
+    def test_framing_paths_found(self):
+        __, graph, actions, ___ = _framing_family()
+        states = sorted(graph, key=repr)
+        read_other = next(a for a, __ in actions if isinstance(a, ReadOtherAction))
+        assert any(i.condition == "locality" for i in check_action(read_other, states))
+        bump = next(a for a, __ in actions if type(a) is BumpAction)
+        assert any(i.condition == "totality" for i in check_action(bump, states))
+
+    def test_broken_transitions_found(self):
+        conc, graph, __, ___ = _broken_family()
+        found = check_concurroid(conc, sorted(graph, key=repr), max_issues=1_000)
+        assert len(found) > 10
+        assert {
+            "coherence-preservation",
+            "other-preservation",
+            "footprint-preservation",
+        } <= {i.condition for i in found}
+
     def test_unstable_truncated_and_capped(self):
         conc, graph, __, assertions = _ticketed_family()
         not_holds = dict(assertions)["not holds"]
@@ -565,30 +695,110 @@ class TestProtocolGraph:
             )
 
 
+def traced(fn: Callable, *args: Any, **kwargs: Any) -> tuple[Any, dict]:
+    """``fn``'s result and the args of the one span it recorded."""
+    with tracer.tracing(mirror_env=False) as tr:
+        result = fn(*args, **kwargs)
+    (span,) = [r for r in tr.records if r[0] == tracer.PH_SPAN]
+    return result, span[-1]
+
+
+def candidate_mask(conc: Concurroid, s: State) -> int:
+    """Which of ``s``'s candidate framings are coherent, from scratch."""
+    bits = []
+    for lbl, pcm in conc.pcms().items():
+        comp = s[lbl]
+        for frame, rest in list(pcm.splits(comp.other))[:8]:
+            if pcm.is_unit(frame):
+                continue
+            framed = s.set(lbl, SubjState(pcm.join(comp.self_, frame), comp.joint, rest))
+            bits.append(conc.coherent(framed))
+    return sum(1 << i for i, ok in enumerate(bits) if ok)
+
+
+class TestFramingMasks:
+    def test_later_calls_read_the_masks(self):
+        conc, graph, actions, __ = _framing_family()
+        ref_states = sorted(graph, key=repr)
+        # The family's first action reaches locality at every coherent
+        # state, so its first call builds every mask.
+        first = True
+        for action, args in actions:
+            for __ in range(2):
+                got, span = traced(action_mod.check_action, action, graph, args)
+                assert [str(i) for i in got] == [
+                    str(i) for i in check_action(action, ref_states, args)
+                ]
+                if first:
+                    assert span["framings_built"] > 0 and span["framings_from_mask"] == 0
+                    first = False
+                else:
+                    assert span["framings_built"] == 0 and span["framings_from_mask"] > 0
+        coherent = [s for s in graph.states if conc.coherent(s)]
+        assert graph.framing_masks == {s: candidate_mask(conc, s) for s in coherent}
+        masks = set(graph.framing_masks.values())
+        assert 0 in masks and len(masks) > 2  # zeros, and partly coherent members
+
+    def test_non_members_are_answered_not_stored(self):
+        conc, graph, __, ___ = _framing_family()
+        outside = counter_state(conc, 0, 6)
+        assert outside not in graph and conc.coherent(outside)
+        found = graph.framings(outside)
+        assert found.built == 6 and found.from_mask == 0
+        assert [f[2] for f in found.coherent] == [1, 2]
+        assert not graph.framing_masks
+        assert graph.framings(outside) == found
+
+    def test_conc_reenumerates_only_failing_states(self):
+        conc, graph, __, ___ = _broken_family()
+        ref = check_concurroid(conc, sorted(graph, key=repr), max_issues=1_000)
+        got, span = traced(conc_mod.check_concurroid, conc, graph, max_issues=1_000)
+        assert [str(i) for i in got] == [str(i) for i in ref]
+        coherent = sum(1 for s in graph.states if graph.coherent(s))
+        assert 0 < span["reenumerated"] < coherent
+
+
 class TestCanonicalKeys:
     """Memory regression: the graph must pin no state beyond its members.
     Keying a memo by the first *equal* fresh state a query brings keeps
     that duplicate alive for as long as the graph lives."""
 
-    @staticmethod
-    def assert_canonical(graph: ProtocolGraph) -> None:
+    #: The graph's attributes: states, members, the edge tables, the
+    #: coherence memo and the framing masks, and nothing else.
+    ATTRIBUTES = {"conc", "states", "_members", "env", "trans", "coherence", "framing_masks"}
+
+    @classmethod
+    def assert_canonical(cls, graph: ProtocolGraph, *, masks: bool = False) -> None:
+        assert set(vars(graph)) == cls.ATTRIBUTES
         members = {id(s) for s in graph.states}
-        for table in (graph.env, graph.trans, graph.coherence):
+        tables = [graph.env, graph.trans, graph.coherence]
+        if masks:
+            tables.append(graph.framing_masks)
+        for table in tables:
             assert table
             assert all(id(key) in members for key in table)
         for table in (graph.env, graph.trans):
             for succs in table.values():
                 assert all(id(s) in members for s in succs)
+        # one int per member, and nothing that could hold a state
+        assert all(type(mask) is int for mask in graph.framing_masks.values())
 
     def test_after_all_checkers(self):
-        conc, graph, actions, assertions = _ticketed_family()
+        self.run_all_checkers(*_ticketed_family())
+
+    def test_after_all_checkers_with_incoherent_framings(self):
+        self.run_all_checkers(*_framing_family())
+
+    def run_all_checkers(self, conc, graph, actions, assertions):
         conc_mod.check_concurroid(conc, graph)
         for action, args in actions:
             action_mod.check_action(action, graph, args)
         for name, assertion in assertions:
             stability_mod.check_stability(assertion, name, conc, graph)
+        # framed states that are not members were queried, but not stored
         assert len(graph.coherence) == len(graph.states)
-        self.assert_canonical(graph)
+        assert len(graph.framing_masks) <= len(graph.states)
+        self.assert_canonical(graph, masks=True)
 
     def test_equal_fresh_queries_store_the_member(self):
         conc, closure, __, ___ = _counter_family()
@@ -599,14 +809,17 @@ class TestCanonicalKeys:
             graph.coherent(fresh)
             graph.env_successors(fresh)
             graph.successors(fresh)
-        self.assert_canonical(graph)
+            graph.framings(fresh)
+        self.assert_canonical(graph, masks=True)
 
     def test_non_members_are_not_stored(self):
         conc, graph, __, ___ = _counter_family()
         outside = counter_state(conc, 9, 9)
         assert outside not in graph
-        before = (len(graph.env), len(graph.trans), len(graph.coherence))
+        tables = (graph.env, graph.trans, graph.coherence, graph.framing_masks)
+        before = [len(table) for table in tables]
         graph.coherent(outside)
         graph.env_successors(outside)
         graph.successors(outside)
-        assert (len(graph.env), len(graph.trans), len(graph.coherence)) == before
+        graph.framings(outside)
+        assert [len(table) for table in tables] == before
