@@ -23,7 +23,7 @@ import time
 
 from repro.analysis.lockorder import lockorder_target
 from repro.analysis.race import race_target
-from repro.analysis.scenarios import por_scenarios, run_scenario
+from repro.analysis.scenarios import main_scenarios, run_scenario
 from repro.analysis.targets import target_for
 
 from conftest import emit
@@ -72,11 +72,11 @@ def test_liveness_overhead(out_dir):
     )
 
     dynamic_rows = []
-    for scenario in por_scenarios(DYNAMIC_PROGRAMS):
+    for scenario in main_scenarios(DYNAMIC_PROGRAMS):
         t0 = time.perf_counter()
-        base = run_scenario(scenario, por=False)
+        base = run_scenario(scenario)
         t1 = time.perf_counter()
-        live = run_scenario(scenario, por=False, liveness=True)
+        live = run_scenario(scenario, liveness=True)
         t2 = time.perf_counter()
         # The detector observes the same search: identical frontier.
         assert base.explored == live.explored, scenario.key

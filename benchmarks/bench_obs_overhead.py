@@ -21,9 +21,9 @@ tracing off must cost **under 5%** of sweep wall time — two ways:
   is only about the off path — but the numbers land in the artifact so
   a regression is visible in CI.
 
-Workload: every representative POR scenario (the same rows bench_por
-uses), run unreduced — a pure explorer workload, which is where the
-hottest instrumentation lives.  Artifact: ``benchmarks/out/obs_overhead.json``.
+Workload: every representative registry Main scenario
+(:data:`repro.analysis.scenarios.MAIN_SCENARIOS`) — a pure explorer
+workload, which is where the hottest instrumentation lives.  Artifact: ``benchmarks/out/obs_overhead.json``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import time
 
-from repro.analysis.scenarios import por_scenarios, run_scenario
+from repro.analysis.scenarios import main_scenarios, run_scenario
 from repro.obs import tracer
 
 from conftest import emit
@@ -50,8 +50,8 @@ REPEATS = 3
 def _workload() -> int:
     """One pass over every representative scenario; returns configs."""
     total = 0
-    for scenario in por_scenarios():
-        total += run_scenario(scenario, por=False).explored
+    for scenario in main_scenarios():
+        total += run_scenario(scenario).explored
     return total
 
 

@@ -221,10 +221,7 @@ def _run_verify(args: argparse.Namespace) -> int:
                 cache=not args.no_cache,
                 cache_dir=args.cache_dir,
                 prepass=not args.no_prepass,
-                por=args.por,
                 liveness=args.liveness,
-                symmetry=args.symmetry,
-                explore_jobs=args.explore_jobs,
                 timeout=args.timeout,
                 retries=args.retries,
                 faults=plan,
@@ -278,7 +275,6 @@ def _run_profile(args: argparse.Namespace) -> int:
                 jobs=args.jobs,
                 cache=False,
                 prepass=not args.no_prepass,
-                por=args.por,
                 timeout=args.timeout,
                 retries=args.retries,
             )
@@ -601,33 +597,11 @@ def main(argv: list[str] | None = None) -> int:
         help="skip the fcsl-lint static pre-pass (pure dynamic checking)",
     )
     verify.add_argument(
-        "--por",
-        action="store_true",
-        help="enable partial-order reduction: expand statically-independent "
-        "threads alone (verdict-preserving; default off)",
-    )
-    verify.add_argument(
         "--liveness",
         action="store_true",
         help="enable the bounded livelock detector during exploration: "
         "progress-free lassos are recorded as replayable witnesses "
         "(verdict-preserving; default off)",
-    )
-    verify.add_argument(
-        "--symmetry",
-        action="store_true",
-        help="enable thread-identity symmetry reduction: merge "
-        "configurations equal modulo permutation of sibling threads "
-        "(verdict-preserving; default off)",
-    )
-    verify.add_argument(
-        "--explore-jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard each program's schedule exploration across N worker "
-        "processes (default 1 = serial; with --jobs unset the sweep "
-        "itself then runs in-process so the cores go to exploration)",
     )
     verify.add_argument(
         "--inject",
@@ -713,11 +687,6 @@ def main(argv: list[str] | None = None) -> int:
         "--no-prepass",
         action="store_true",
         help="skip the fcsl-lint static pre-pass (pure dynamic checking)",
-    )
-    profile.add_argument(
-        "--por",
-        action="store_true",
-        help="enable partial-order reduction during the profiled sweep",
     )
     profile.add_argument(
         "--trace",

@@ -1,6 +1,6 @@
-"""Static interference and commutativity analysis (the core of fcsl-race).
+"""Static footprint analysis (the core of fcsl-race and fcsl-live).
 
-Three layers, each usable on its own:
+Two layers, each usable on its own:
 
 1. **Footprints** (:func:`action_footprint`): run an atomic action over a
    family of modelled states behind the recording-heap shim
@@ -9,46 +9,29 @@ Three layers, each usable on its own:
    components it changes (and whether those changes are history-style
    *appends*), and whether it is observably pure.  No program is ever
    executed under a scheduler — this is the same state-family sampling
-   the linter uses.
+   the linter uses.  :func:`footprints_conflict` is the cell-level
+   conflict relation over two footprints.
 
-2. **Instance collection** (:func:`collect_program`,
-   :func:`collect_config`): walk a program tree (or a live
-   configuration's threads) gathering every atomic-action *instance*
-   ``(action, args)``, the statically-parallel pairs (instances on
-   opposite sides of some ``par``), and the sequential-order pairs.
-   Continuations are probed concolically: besides the opaque probe
+2. **Instance collection** (:func:`collect_program`): walk a program
+   tree gathering every atomic-action *instance* ``(action, args)``, the
+   statically-parallel pairs (instances on opposite sides of some
+   ``par``), and the sequential-order pairs.  Continuations are probed
+   concolically (:func:`_concolic_collect`): besides the opaque probe
    values the ``FCSL030`` walker uses, every value an action was
    *observed* to return over the state family is fed back into the
-   walk, so value-dependent branches (spin loops, version checks)
-   are discovered instead of silently skipped.
+   walk, so value-dependent branches (spin loops, version checks) are
+   discovered instead of silently skipped.
 
-3. **Independence** (:class:`ProgramInterference`): a statically-parallel
-   pair *commutes* when (a) the actions' cell footprints are disjoint
-   (writes of one never touch cells the other reads or writes) and
-   (b) a full diamond probe over the state family succeeds in both
-   directions — applying one action's corresponding transitions as an
-   environment move never toggles the other's guard, never changes its
-   return value, and closes the diamond to the same state.  Anything
-   that fails, raises, or cannot be resolved (unknown arguments, no
-   transition correspondence) is *dependent* — every approximation in
-   this module errs toward interference, never toward independence.
-
-The resulting :class:`ProgramInterference` is the oracle behind
-``explore(..., por=True)``: a thread's pending instance is an *ample*
-singleton only if it is independent of every instance any parallel
-thread may ever run, every runnable thread's view is a member of the
-modelled state family, and every pending action is safe — otherwise the
-explorer falls back to full expansion at that configuration.  See
-``docs/RACES.md`` for the soundness argument.
+Every approximation here errs toward interference: an unprobeable
+action gets no footprint, and an incomplete walk is marked as such.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from ..core.action import Action
-from ..core.concurroid import Concurroid, Transition
 from ..core.prog import ActCall, Bind, Call, HideProg, Par, Prog, Ret
 from ..core.state import State
 from ..heap import Heap, Ptr
@@ -65,23 +48,13 @@ Cell = tuple  # (label, Ptr)
 #: Cap on (state, args) runs per footprint probe.
 MAX_FOOTPRINT_RUNS = 400
 
-#: Cap on the POR state family; a truncated closure disables reduction.
-FAMILY_CAP = 4_000
-
 #: Concolic collection rounds (observed values fed back into the walk).
 COLLECT_ROUNDS = 4
 
-#: Elementary probe operations (state x transition evaluations) allowed per
-#: analysis.  Exhausting it marks every remaining pair *dependent* — the
-#: fail-closed direction — so analysis cost is bounded without ever
-#: claiming an independence that was not fully checked.
-PROBE_BUDGET = 120_000
-
 #: Cap on distinct action instances the concolic collector will chase.  A
 #: program whose instance set blows past this (value-rich loops like the
-#: allocator's take/retry) is marked *incomplete*, which disables every
-#: eligibility claim — again the fail-closed direction — instead of
-#: burning minutes probing footprints that cannot yield a reduction.
+#: allocator's take/retry) is marked *incomplete* — the fail-closed
+#: direction — instead of burning minutes probing footprints.
 MAX_INSTANCES = 40
 
 #: Label used when a touched pointer matches no component of the pre-state
@@ -380,184 +353,7 @@ def collect_program(
     return walk(prog)
 
 
-def _thread_tree(threads: Mapping[int, Any]) -> dict:
-    """tid -> set of (transitive) child tids, from the ThreadCtx parents."""
-    children: dict = {tid: set() for tid in threads}
-    for tid, th in threads.items():
-        parent = getattr(th, "parent", None)
-        while parent is not None and parent in children:
-            children[parent].add(tid)
-            parent = getattr(threads.get(parent), "parent", None)
-    return children
-
-
-def collect_config(
-    config: Any,
-    *,
-    probe_pool: Iterable[Any] = PROBE_VALUES,
-    max_nodes: int = MAX_NODES,
-) -> CollectedProgram:
-    """Collect instances from a live configuration's threads.
-
-    Each thread contributes its current program plus the programs its
-    pending continuations produce under probing; two live threads are
-    parallel unless one is an ancestor (a forker awaiting the join) of
-    the other.
-    """
-    threads = dict(config.threads)
-    per_thread: dict = {}
-    for tid, th in threads.items():
-        col = CollectedProgram()
-        current = getattr(th, "current", None)
-        if isinstance(current, Prog):
-            col.absorb(
-                collect_program(
-                    current, probe_pool=probe_pool, max_nodes=max_nodes
-                )
-            )
-        for kont in getattr(th, "konts", ()) or ():
-            rest = CollectedProgram()
-            for value in probe_pool:
-                try:
-                    nxt = kont(value)
-                except Exception:  # noqa: BLE001 - kont rejects this probe
-                    continue
-                if isinstance(nxt, Prog):
-                    rest.absorb(
-                        collect_program(
-                            nxt, probe_pool=probe_pool, max_nodes=max_nodes
-                        )
-                    )
-            col.merge_sequential(rest)
-        per_thread[tid] = col
-    descendants = _thread_tree(threads)
-    out = CollectedProgram()
-    tids = sorted(per_thread)
-    for i, t in enumerate(tids):
-        for u in tids[i + 1 :]:
-            if u in descendants.get(t, ()) or t in descendants.get(u, ()):
-                continue  # forker vs its own child: sequential via join
-            for a in per_thread[t].instances:
-                for b in per_thread[u].instances:
-                    out.par_pairs.add(frozenset((a, b)))
-    for col in per_thread.values():
-        out.absorb(col)
-    return out
-
-
-# -- transition correspondence and the diamond probe ------------------------------------
-
-
-class _Budget:
-    """Mutable probe-operation allowance shared across one analysis."""
-
-    __slots__ = ("left",)
-
-    def __init__(self, n: int) -> None:
-        self.left = n
-
-    def spend(self, n: int = 1) -> bool:
-        self.left -= n
-        return self.left >= 0
-
-
-def corresponding_moves(
-    action: Action,
-    args: tuple,
-    states: Sequence[State],
-    transitions: Sequence[Transition],
-    budget: _Budget | None = None,
-) -> frozenset | None:
-    """The ``(transition index, param)`` moves that replay every non-idle
-    step of ``action(*args)`` over ``states``; ``None`` when some observed
-    step matches no declared transition (then nothing can be proven)."""
-    budget = budget if budget is not None else _Budget(PROBE_BUDGET)
-    moves: set = set()
-    for s in states:
-        if not _safe(action, s, args):
-            continue
-        try:
-            __, post = action.step(s, *args)
-        except Exception:  # noqa: BLE001 - crashing step: unknown effect
-            return None
-        if post == s:
-            continue
-        matched = False
-        for ti, t in enumerate(transitions):
-            try:
-                for param, succ in t.successors(s):
-                    if not budget.spend():
-                        return None  # out of probe budget: fail closed
-                    if succ == post:
-                        try:
-                            hash(param)
-                        except TypeError:
-                            return None
-                        moves.add((ti, param))
-                        matched = True
-                        break
-            except Exception:  # noqa: BLE001 - transition probing failed
-                return None
-            if matched:
-                break
-        if not matched:
-            return None
-    return frozenset(moves)
-
-
-def _diamond_commutes(
-    obs_action: Action,
-    obs_args: tuple,
-    mover_conc: Concurroid,
-    mover_transitions: Sequence[Transition],
-    mover_moves: frozenset,
-    states: Sequence[State],
-    budget: _Budget | None = None,
-) -> bool:
-    """Does every mover move (seen as an environment step) commute with the
-    observer action on every modelled state?  Guard preserved both ways,
-    value unchanged, diamond closes to the same state."""
-    budget = budget if budget is not None else _Budget(PROBE_BUDGET)
-    for s in states:
-        try:
-            flipped = mover_conc._transpose_own(s)
-        except Exception:  # noqa: BLE001 - untransposable state
-            return False
-        for ti, param in mover_moves:
-            if not budget.spend():
-                return False  # out of probe budget: fail closed
-            t = mover_transitions[ti]
-            try:
-                if not t.requires(flipped, param):
-                    continue
-                s2 = mover_conc._transpose_own(t.effect(flipped, param))
-            except Exception:  # noqa: BLE001 - move not replayable here
-                return False
-            if s2 == s:
-                continue
-            safe1 = _safe(obs_action, s, obs_args)
-            safe2 = _safe(obs_action, s2, obs_args)
-            if safe1 != safe2:
-                return False  # the mover toggles the observer's guard
-            if not safe1:
-                continue
-            try:
-                v1, p1 = obs_action.step(s, *obs_args)
-                v2, p2 = obs_action.step(s2, *obs_args)
-            except Exception:  # noqa: BLE001
-                return False
-            if v1 != v2:
-                return False  # the mover changes the observer's result
-            try:
-                p1f = mover_conc._transpose_own(p1)
-                if not t.requires(p1f, param):
-                    return False  # the observer disables the mover
-                p1m = mover_conc._transpose_own(t.effect(p1f, param))
-            except Exception:  # noqa: BLE001
-                return False
-            if p1m != p2:
-                return False  # the diamond does not close
-    return True
+# -- the conflict relation ---------------------------------------------------------------
 
 
 def footprints_conflict(fa: Footprint, fb: Footprint) -> bool:
@@ -567,155 +363,7 @@ def footprints_conflict(fa: Footprint, fb: Footprint) -> bool:
     return bool(fa.writes & fb.touched) or bool(fb.writes & fa.touched)
 
 
-# -- the state family -------------------------------------------------------------------
-
-
-def state_family(
-    world: Any,
-    initials: Iterable[State],
-    *,
-    cap: int = FAMILY_CAP,
-) -> frozenset | None:
-    """Closure of ``initials`` under every concurroid's own transitions,
-    environment moves and fork/join realignments (PCM splits moved between
-    ``self`` and ``other``).  ``None`` when the closure exceeds ``cap`` —
-    the caller must then treat every view as unmodelled (POR disabled)."""
-    seen: set = set(initials)
-    frontier = list(seen)
-    concs = list(world.concurroids)
-    transitions = {id(c): tuple(c.transitions()) for c in concs}
-
-    def push(s: State) -> None:
-        if s not in seen:
-            seen.add(s)
-            frontier.append(s)
-
-    while frontier:
-        if len(seen) > cap:
-            return None
-        s = frontier.pop()
-        for conc in concs:
-            for t in transitions[id(conc)]:
-                try:
-                    for __, succ in t.successors(s):
-                        push(succ)
-                except Exception:  # noqa: BLE001 - transition rejects state
-                    continue
-            try:
-                for succ in conc.env_moves(s):
-                    push(succ)
-            except Exception:  # noqa: BLE001 - env probing rejects state
-                continue
-            for label, pcm in conc.pcms().items():
-                if label not in s:
-                    continue
-                comp = s[label]
-                try:
-                    for kept, gone in pcm.splits(comp.self_):
-                        push(
-                            s.set(
-                                label,
-                                comp.with_self(kept).with_other(
-                                    pcm.join(comp.other, gone)
-                                ),
-                            )
-                        )
-                    for kept, gone in pcm.splits(comp.other):
-                        push(
-                            s.set(
-                                label,
-                                comp.with_other(kept).with_self(
-                                    pcm.join(comp.self_, gone)
-                                ),
-                            )
-                        )
-                except Exception:  # noqa: BLE001 - unsplittable component
-                    continue
-    return frozenset(seen)
-
-
-# -- the oracle -------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Edge:
-    """One may-not-commute pair of the interference graph."""
-
-    a: InstanceKey
-    b: InstanceKey
-    a_name: str
-    b_name: str
-    reason: str
-
-    def to_dict(self) -> dict:
-        return {"a": self.a_name, "b": self.b_name, "reason": self.reason}
-
-
-@dataclass
-class ProgramInterference:
-    """Interference graph + independence oracle for one program.
-
-    ``pairs`` maps every statically-parallel pair to ``None`` (proven
-    commuting) or a reason string (may-not-commute).  ``eligible`` holds
-    the instance keys that are independent of *every* statically-parallel
-    partner — the candidates for singleton ample sets.
-    """
-
-    collected: CollectedProgram
-    footprints: dict  # key -> Footprint | None
-    pairs: dict  # frozenset({a, b}) -> str | None
-    eligible: frozenset
-    family: frozenset | None  # None: closure truncated, POR disabled
-    names: dict = field(default_factory=dict)  # key -> display name
-
-    # -- explore()-facing API ---------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return self.family is not None and bool(self.eligible)
-
-    def knows(self, key: InstanceKey) -> bool:
-        return key in self.collected.instances and key not in self.collected.unresolved
-
-    def action_of(self, key: InstanceKey) -> ActCall:
-        return self.collected.instances[key]
-
-    def key_eligible(self, key: InstanceKey) -> bool:
-        return key in self.eligible
-
-    def view_in_family(self, view: State) -> bool:
-        return self.family is not None and view in self.family
-
-    # -- reporting --------------------------------------------------------------------
-
-    def edges(self) -> list:
-        out = []
-        for pair, reason in sorted(
-            self.pairs.items(), key=lambda kv: sorted(map(repr, kv[0]))
-        ):
-            if reason is None:
-                continue
-            keys = sorted(pair, key=repr)
-            a, b = (keys[0], keys[-1]) if len(keys) > 1 else (keys[0], keys[0])
-            out.append(
-                Edge(a, b, self.names.get(a, "?"), self.names.get(b, "?"), reason)
-            )
-        return out
-
-    def independent_pairs(self) -> int:
-        return sum(1 for reason in self.pairs.values() if reason is None)
-
-    def summary(self) -> dict:
-        return {
-            "instances": len(self.collected.instances),
-            "parallel_pairs": len(self.pairs),
-            "independent_pairs": self.independent_pairs(),
-            "edges": len(self.pairs) - self.independent_pairs(),
-            "eligible": sorted(self.names.get(k, "?") for k in self.eligible),
-            "family_states": len(self.family) if self.family is not None else None,
-            "complete": self.collected.complete,
-            "por_enabled": self.enabled,
-        }
+# -- concolic collection ----------------------------------------------------------------
 
 
 def _display_name(node: ActCall) -> str:
@@ -737,7 +385,7 @@ def _concolic_collect(
     collected = collect(pool)
     for __ in range(rounds):
         if len(collected.instances) > MAX_INSTANCES:
-            collected.complete = False  # value blow-up: no eligibility
+            collected.complete = False  # value blow-up: fail closed
             break
         fresh = False
         for key, node in list(collected.instances.items()):
@@ -759,121 +407,3 @@ def _concolic_collect(
     for key in collected.instances:
         footprints.setdefault(key, None)
     return collected, footprints
-
-
-def _analyze(
-    world: Any,
-    initials: Sequence[State],
-    collect: Callable[[Iterable[Any]], CollectedProgram],
-    *,
-    family_cap: int = FAMILY_CAP,
-) -> ProgramInterference:
-    family = state_family(world, initials, cap=family_cap)
-    probe_states: Sequence[State] = (
-        sorted(family, key=repr) if family is not None else list(initials)
-    )
-    collected, footprints = _concolic_collect(collect, probe_states)
-    names = {k: _display_name(n) for k, n in collected.instances.items()}
-
-    transitions = {id(c): tuple(c.transitions()) for c in world.concurroids}
-    budget = _Budget(PROBE_BUDGET)
-    corr_cache: dict = {}
-
-    def corr(key: InstanceKey) -> frozenset | None:
-        if key not in corr_cache:
-            node = collected.instances[key]
-            trans = transitions.get(id(node.action.concurroid))
-            if trans is None:  # concurroid not installed in this world
-                corr_cache[key] = None
-            else:
-                corr_cache[key] = corresponding_moves(
-                    node.action, node.args, probe_states, trans, budget
-                )
-        return corr_cache[key]
-
-    def independent(a: InstanceKey, b: InstanceKey) -> str | None:
-        fa, fb = footprints.get(a), footprints.get(b)
-        if fa is None or fb is None:
-            return "unknown-footprint"
-        if footprints_conflict(fa, fb):
-            return "heap-overlap"
-        ca, cb = corr(a), corr(b)
-        if ca is None or cb is None:
-            return "no-transition-correspondence"
-        na, nb = collected.instances[a], collected.instances[b]
-        if ca and not _diamond_commutes(
-            nb.action,
-            nb.args,
-            na.action.concurroid,
-            transitions[id(na.action.concurroid)],
-            ca,
-            probe_states,
-            budget,
-        ):
-            return "diamond-failure"
-        if cb and not _diamond_commutes(
-            na.action,
-            na.args,
-            nb.action.concurroid,
-            transitions[id(nb.action.concurroid)],
-            cb,
-            probe_states,
-            budget,
-        ):
-            return "diamond-failure"
-        return None
-
-    pairs: dict = {}
-    for pair in collected.par_pairs:
-        keys = sorted(pair, key=repr)
-        a, b = (keys[0], keys[-1]) if len(keys) > 1 else (keys[0], keys[0])
-        pairs[pair] = independent(a, b)
-
-    eligible = set()
-    if collected.complete and family is not None:
-        for key in collected.instances:
-            if key in collected.unresolved:
-                continue
-            partners = [p for p in pairs if key in p]
-            if all(pairs[p] is None for p in partners):
-                eligible.add(key)
-    return ProgramInterference(
-        collected=collected,
-        footprints=footprints,
-        pairs=pairs,
-        eligible=frozenset(eligible),
-        family=family,
-        names=names,
-    )
-
-
-def analyze_program(
-    world: Any,
-    init: State,
-    prog: Prog,
-    *,
-    family_cap: int = FAMILY_CAP,
-) -> ProgramInterference:
-    """Interference analysis of one scenario: program tree + initial state."""
-    return _analyze(
-        world,
-        [init],
-        lambda pool: collect_program(prog, probe_pool=pool),
-        family_cap=family_cap,
-    )
-
-
-def analyze_config(config: Any, *, family_cap: int = FAMILY_CAP) -> ProgramInterference:
-    """Interference analysis of a live configuration (``explore(por=True)``)."""
-    initials = []
-    for tid in sorted(config.threads):
-        try:
-            initials.append(config.view_for(tid))
-        except Exception:  # noqa: BLE001 - unviewable thread: skip seed
-            continue
-    return _analyze(
-        config.world,
-        initials,
-        lambda pool: collect_config(config, probe_pool=pool),
-        family_cap=family_cap,
-    )

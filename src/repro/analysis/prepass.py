@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator
 
 from ..core.concurroid import Concurroid, ProtocolGraph, state_graph
 from ..core.state import State
-from ..core.verify import set_prepass
+from ..core.verify import get_prepass, set_prepass
 from .specs import probe_self_framed
 
 
@@ -61,9 +61,6 @@ class StaticPrepass:
         self.skipped: list[str] = []
         #: how many obligations consulted the pre-pass
         self.consulted: int = 0
-        #: (world id, prog id, init) -> interference oracle (see below)
-        self._oracles: dict[tuple, object] = {}
-        self._oracle_pins: list[object] = []  # keep ids stable while cached
 
     # -- the public hook ----------------------------------------------------
 
@@ -86,26 +83,6 @@ class StaticPrepass:
             return False
         self.skipped.append(name)
         return True
-
-    # -- the interference oracle hook ----------------------------------------
-
-    def interference(self, world, init: State, prog):
-        """The POR oracle for one scenario, memoized per (world, program,
-        initial state) so re-checks of the same triple (retries, multiple
-        spec ascriptions) amortize the analysis.  Consulted by
-        :func:`repro.core.verify.check_triple` when POR is on."""
-        from .interference import analyze_program
-
-        key = (id(world), id(prog), init)
-        if key not in self._oracles:
-            self._oracle_pins.extend((world, prog))
-            self._oracles[key] = analyze_program(world, init, prog)
-        return self._oracles[key]
-
-    @property
-    def oracles_built(self) -> int:
-        """How many distinct scenario oracles this pre-pass has built."""
-        return len(self._oracles)
 
     # -- the amortized model sweep ------------------------------------------
 
@@ -135,10 +112,12 @@ class StaticPrepass:
 @contextmanager
 def static_prepass() -> Iterator[StaticPrepass]:
     """Install a :class:`StaticPrepass` for the dynamic verifiers run
-    inside the ``with`` block; always uninstalled on exit."""
+    inside the ``with`` block; on exit the pre-pass that was installed
+    before it (or none) is restored, so blocks nest."""
+    previous = get_prepass()
     facts = StaticPrepass()
     set_prepass(facts)
     try:
         yield facts
     finally:
-        set_prepass(None)
+        set_prepass(previous)

@@ -1,10 +1,10 @@
 """fcsl-race: race-shaped defect rules (FCSL045-048) over lint targets.
 
-The rules consume the same facts the POR oracle does — observed
-footprints (:func:`repro.analysis.interference.action_footprint`),
-concolically collected program instances with their sequential order,
-and environment moves of the declared concurroids — and flag patterns
-that are races *in the protocol*, before any schedule is enumerated:
+The rules consume static facts — observed footprints
+(:func:`repro.analysis.interference.action_footprint`), concolically
+collected program instances with their sequential order, and
+environment moves of the declared concurroids — and flag patterns that
+are races *in the protocol*, before any schedule is enumerated:
 
 * FCSL045 — **non-atomic read-modify-write**: a program reads a cell and
   later writes it in a *different* atomic action, the writer's guard

@@ -64,18 +64,13 @@ from ..core.verify import (
     CATEGORIES,
     VerificationReport,
     collecting_obligations,
-    explore_jobs_default,
+    get_prepass,
     liveness_default,
-    por_default,
     set_explore_cap_scale,
-    set_explore_jobs_default,
     set_liveness_default,
     set_obligation_filter,
     set_obligation_name_filter,
-    set_por_default,
     set_prepass,
-    set_symmetry_default,
-    symmetry_default,
 )
 from ..obs import tracer as obs_tracer
 from ..structures.registry import ProgramInfo, all_programs, registry_programs
@@ -357,66 +352,20 @@ def _uninstall_worker_prepass() -> None:
 
 
 @contextmanager
-def _por_installed(flag: bool):
-    """Make ``flag`` the process POR default for the duration of a sweep.
-
-    ``set_por_default`` mirrors the flag into ``REPRO_POR``, so pool
-    workers pick it up under *any* multiprocessing start method: fork
-    children inherit the module global directly, spawn children re-read
-    the environment.  The previous default is restored on exit so sweeps
-    never leak their setting into the caller's process."""
-    previous = por_default()
-    set_por_default(flag)
-    try:
-        yield
-    finally:
-        set_por_default(previous)
-
-
-@contextmanager
 def _liveness_installed(flag: bool):
     """Make ``flag`` the process liveness default for a sweep's duration.
 
-    Same mechanism as :func:`_por_installed`: ``set_liveness_default``
-    mirrors the flag into ``REPRO_LIVENESS`` so pool workers pick it up
-    under any start method, and the previous default is restored."""
+    ``set_liveness_default`` mirrors the flag into ``REPRO_LIVENESS``, so
+    pool workers pick it up under *any* multiprocessing start method:
+    fork children inherit the module global directly, spawn children
+    re-read the environment.  The previous default is restored on exit
+    so sweeps never leak their setting into the caller's process."""
     previous = liveness_default()
     set_liveness_default(flag)
     try:
         yield
     finally:
         set_liveness_default(previous)
-
-
-@contextmanager
-def _symmetry_installed(flag: bool):
-    """Make ``flag`` the process symmetry default for a sweep's duration.
-
-    Same mechanism as :func:`_por_installed`: mirrored into
-    ``REPRO_SYMMETRY`` for pool workers, previous default restored."""
-    previous = symmetry_default()
-    set_symmetry_default(flag)
-    try:
-        yield
-    finally:
-        set_symmetry_default(previous)
-
-
-@contextmanager
-def _explore_jobs_installed(jobs: int):
-    """Make ``jobs`` the process exploration width for a sweep's duration.
-
-    Mirrored into ``REPRO_EXPLORE_JOBS``.  Pool workers are daemonic and
-    cannot nest a shard pool, so inside a fanned-out sweep the explorer
-    falls back to serial on its own; the setting matters on the
-    ``--jobs 1`` in-process path, where each program's exploration gets
-    the whole machine instead."""
-    previous = explore_jobs_default()
-    set_explore_jobs_default(jobs)
-    try:
-        yield
-    finally:
-        set_explore_jobs_default(previous)
 
 
 def _verify_one(task: Any, attempt: int = 1) -> dict[str, Any]:
@@ -555,7 +504,9 @@ def _serial_results(
     :class:`~repro.analysis.prepass.StaticPrepass` installed for the
     duration instead of a throwaway one: the serve daemon passes its
     resident fact store here so model sweeps amortize across *requests*,
-    not just across the obligations of one sweep.
+    not just across the obligations of one sweep.  ``prepass=False``
+    installs none, even over one the caller had installed.  The caller's
+    pre-pass is restored on return either way.
     """
     results: dict[str, TaskResult] = {}
     interrupted = False
@@ -616,21 +567,19 @@ def _serial_results(
             )
 
     if not prepass:
-        run_all()
+        installed = None
     elif resident_prepass is not None:
-        from ..core.verify import get_prepass, set_prepass
-
-        previous = get_prepass()
-        set_prepass(resident_prepass)
-        try:
-            run_all()
-        finally:
-            set_prepass(previous)
+        installed = resident_prepass
     else:
-        from ..analysis.prepass import static_prepass
+        from ..analysis.prepass import StaticPrepass
 
-        with static_prepass():
-            run_all()
+        installed = StaticPrepass()
+    previous = get_prepass()
+    set_prepass(installed)
+    try:
+        run_all()
+    finally:
+        set_prepass(previous)
     return results, interrupted
 
 
@@ -669,10 +618,7 @@ def sweep(
     cache: bool = True,
     cache_dir: str | os.PathLike | None = None,
     prepass: bool = True,
-    por: bool = False,
     liveness: bool = False,
-    symmetry: bool = False,
-    explore_jobs: int = 1,
     timeout: float | None = None,
     retries: int = 1,
     backoff: float = 0.25,
@@ -692,27 +638,11 @@ def sweep(
     out over ``jobs`` supervised worker processes (``None`` = one per
     case study, capped by CPU count; ``1`` = serial in-process, no pool).
 
-    ``por`` turns on partial-order reduction in every ``check_triple``
-    of the sweep (installed as the process default for its duration, so
-    pool workers inherit it).  Verdicts are unaffected by construction —
-    POR only prunes provably-commuting interleavings — so cached reports
-    from non-POR runs stay valid and are still replayed.
-
-    ``liveness`` likewise installs the bounded livelock detector as the
-    process default for the sweep: progress-free lassos are recorded as
-    witnesses on the obligations that found them, but never become
-    issues, so verdicts (and cached reports) are again unaffected.
-
-    ``symmetry`` installs thread-identity symmetry reduction as the
-    process default for the sweep; like POR it only merges permutation-
-    equivalent interleavings, so verdicts (and cached reports) are
-    unaffected (tests/test_explore_equiv.py gates this).
-
-    ``explore_jobs`` > 1 parallelizes each *single program's* schedule
-    search (:mod:`repro.semantics.parallel`).  Because shard pools
-    cannot nest inside daemonic sweep workers, requesting it with
-    ``jobs`` unset switches the sweep itself to the serial in-process
-    path — the cores go to exploration instead of program fan-out.
+    ``liveness`` installs the bounded livelock detector as the process
+    default for the sweep (pool workers inherit it): progress-free
+    lassos are recorded as witnesses on the obligations that found them,
+    but never become issues, so verdicts (and cached reports) are
+    unaffected.
 
     ``timeout`` bounds each program's wall clock per attempt (pool path
     only); ``retries`` re-dispatches crashed/timed-out/raised programs
@@ -856,10 +786,7 @@ def sweep(
                 [u.name for units in program_units.values() for u in units],
                 mode=unit_mode(split),
                 resume=image is not None,
-                flags={
-                    "split": split, "por": por,
-                    "liveness": liveness, "symmetry": symmetry,
-                },
+                flags={"split": split, "liveness": liveness},
             )
 
         # -- phase 3: obligation-cache replay ----------------------------------
@@ -1042,10 +969,6 @@ def sweep(
             )
         units_by_name = {u.name: u for u in pending_units}
 
-        if jobs is None and explore_jobs > 1:
-            # Give the cores to per-program exploration shards, not program
-            # fan-out: a daemonic sweep worker cannot host a shard pool.
-            jobs = 1
         jobs = default_jobs(len(pending_units)) if jobs is None else max(1, jobs)
         jobs = min(jobs, len(pending_units)) if pending_units else 1
 
@@ -1089,9 +1012,7 @@ def sweep(
             if pending_units:
                 if watchdog is not None:
                     watchdog.start()
-                with _por_installed(por), _liveness_installed(liveness), \
-                        _symmetry_installed(symmetry), \
-                        _explore_jobs_installed(explore_jobs):
+                with _liveness_installed(liveness):
                     if jobs == 1:
                         results, interrupted = _serial_results(
                             pending_units,
@@ -1331,10 +1252,7 @@ def run_sweep(
     cache: bool = True,
     cache_dir: str | os.PathLike | None = None,
     prepass: bool = True,
-    por: bool = False,
     liveness: bool = False,
-    symmetry: bool = False,
-    explore_jobs: int = 1,
     timeout: float | None = None,
     retries: int = 1,
     backoff: float = 0.25,
@@ -1357,10 +1275,7 @@ def run_sweep(
         cache=cache,
         cache_dir=cache_dir,
         prepass=prepass,
-        por=por,
         liveness=liveness,
-        symmetry=symmetry,
-        explore_jobs=explore_jobs,
         timeout=timeout,
         retries=retries,
         backoff=backoff,

@@ -139,9 +139,8 @@ class _Task:
     """Mutable supervision state for one task.
 
     Supervision is duck-typed over its task descriptors: anything with a
-    ``name`` attribute works — registry ``ProgramInfo`` rows for sweeps,
-    or the parallel explorer's shard descriptors
-    (:class:`repro.semantics.parallel._ShardInfo`).
+    ``name`` attribute works (work units and registry ``ProgramInfo``
+    rows).
     """
 
     __slots__ = (

@@ -32,7 +32,6 @@ class EvaluationReport:
     figure2_text: str = ""
     figure5_text: str = ""
     lint_text: str = ""
-    por_text: str = ""
     live_text: str = ""
     hotspots_text: str = ""
     issues: list[str] = field(default_factory=list)
@@ -66,10 +65,6 @@ class EvaluationReport:
             "fcsl-lint (static registry sweep)",
             "-" * 72,
             self.lint_text,
-            "",
-            "partial-order reduction (configs explored, before/after)",
-            "-" * 72,
-            self.por_text,
             "",
             "fcsl-live (lock-order graphs and fairness verdicts)",
             "-" * 72,
@@ -112,39 +107,6 @@ def _hotspots_section(sweep, limit: int = 10) -> str:
     lines.append(
         f"top {min(limit, len(rows))} of {len(rows)} obligation(s): "
         f"{shown:.3f}s of {total:.3f}s ({share:.0%})"
-    )
-    return "\n".join(lines)
-
-
-def _por_section(issues: list[str]) -> str:
-    """Configs explored with and without POR on every representative
-    registry scenario (bounds as in the verifications).  A verdict or
-    terminal-set mismatch is a soundness bug and becomes an issue."""
-    from ..analysis.scenarios import por_scenarios, run_scenario, terminal_signature
-
-    lines = [f"{'scenario':<28} {'base':>8} {'por':>8} {'cut':>7} {'active':>6}"]
-    total_base = total_por = 0
-    for scenario in por_scenarios():
-        base = run_scenario(scenario, por=False)
-        reduced = run_scenario(scenario, por=True)
-        if (not base.violations) != (not reduced.violations) or (
-            terminal_signature(base) != terminal_signature(reduced)
-        ):
-            issues.append(f"por: {scenario.key} verdict/terminal-set mismatch")
-        total_base += base.explored
-        total_por += reduced.explored
-        cut = (
-            (base.explored - reduced.explored) / base.explored
-            if base.explored
-            else 0.0
-        )
-        lines.append(
-            f"{scenario.key:<28} {base.explored:>8} {reduced.explored:>8} "
-            f"{cut:>6.1%} {str(reduced.por_active):>6}"
-        )
-    overall = (total_base - total_por) / total_base if total_base else 0.0
-    lines.append(
-        f"{'total':<28} {total_base:>8} {total_por:>8} {overall:>6.1%}"
     )
     return "\n".join(lines)
 
@@ -280,10 +242,6 @@ def run_evaluation(
             f"fcsl-lint found {sum(1 for d in diagnostics if d.severity >= Severity.WARNING)} "
             "warning(s)/error(s) in the registry sweep"
         )
-
-    if verbose:
-        print("measuring partial-order reduction...", flush=True)
-    report.por_text = _por_section(report.issues)
 
     if verbose:
         print("running the fcsl-live liveness sweep...", flush=True)

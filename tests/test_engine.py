@@ -347,6 +347,44 @@ class TestScopedSkipAccounting:
         assert second.prepass_skips == 2
 
 
+class TestPrepassInstallation:
+    """A pre-pass installed by the caller survives nested pre-passes and
+    serial sweeps, and ``prepass=False`` means none is consulted."""
+
+    def test_static_prepass_blocks_nest(self):
+        from repro.analysis.prepass import static_prepass
+        from repro.core.verify import get_prepass
+
+        with static_prepass() as outer:
+            with static_prepass() as inner:
+                assert get_prepass() is inner
+            assert get_prepass() is outer
+        assert get_prepass() is None
+
+    def test_serial_sweep_restores_the_callers_prepass(self):
+        from repro.analysis.prepass import static_prepass
+        from repro.core.verify import get_prepass
+
+        with static_prepass() as outer:
+            result = run_sweep(["Prod/Cons"], jobs=1, cache=False, journal=False)
+            assert get_prepass() is outer
+        assert result.ok
+
+    def test_serial_sweep_without_prepass_ignores_the_callers(self):
+        from repro.analysis.prepass import static_prepass
+        from repro.core.verify import get_prepass
+
+        with static_prepass() as outer:
+            result = run_sweep(
+                ["CAS-lock"], jobs=1, cache=False, journal=False, prepass=False
+            )
+            assert get_prepass() is outer
+        assert result.ok
+        assert result.outcome("CAS-lock").report.prepass_skips == 0
+        assert outer.consulted == 0
+        assert outer.skipped == []
+
+
 class TestCLI:
     def test_unknown_program_exits_2_with_stderr_message(self, capsys):
         from repro.__main__ import main

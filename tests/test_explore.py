@@ -211,38 +211,6 @@ class TestCompaction:
         assert one[0] is two[0]  # the shared section is one object
 
 
-class TestSymmetry:
-    def test_mirror_configurations_merge(self, world, conc):
-        # Two threads running the *same* program (one shared action — the
-        # semantics compares actions by identity) are interchangeable, so
-        # the canonical memo merges each configuration with its mirror.
-        action = BumpAction(conc)
-        prog = par(act(action), act(action))
-        base = explore(initial_config(world, counter_state(conc), prog))
-        reduced = explore(
-            initial_config(world, counter_state(conc), prog), symmetry=True
-        )
-        assert reduced.symmetry_active
-        assert reduced.explored < base.explored
-        assert not reduced.violations
-        assert {t.joints[conc.label][CELL] for t in reduced.terminals} == {
-            t.joints[conc.label][CELL] for t in base.terminals
-        }
-
-    def test_asymmetric_threads_unaffected(self, world, conc):
-        # Distinct sibling programs never collide under canonicalization:
-        # the key sorts subtrees but keeps their full per-thread records.
-        prog = par(act(BumpAction(conc)), act(ReadCounterAction(conc)))
-        base = explore(initial_config(world, counter_state(conc), prog))
-        reduced = explore(
-            initial_config(world, counter_state(conc), prog), symmetry=True
-        )
-        assert reduced.explored == base.explored
-        assert {repr(t.result) for t in reduced.terminals} == {
-            repr(t.result) for t in base.terminals
-        }
-
-
 class TestDominationOnCaseStudy:
     """The dedupe fix must pay off on real registry machinery."""
 

@@ -14,18 +14,29 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.scenarios import (
-    POR_SCENARIOS,
+    DEMO_SCENARIOS,
+    MAIN_SCENARIOS,
     run_scenario,
     terminal_signature,
 )
 
+SCENARIOS = MAIN_SCENARIOS + DEMO_SCENARIOS
 
-@pytest.mark.parametrize(
-    "scenario", POR_SCENARIOS, ids=[s.key for s in POR_SCENARIOS]
-)
+
+def test_every_registry_program_has_a_scenario():
+    """Adding a case study or demo row must force a gate scenario for it."""
+    from repro.structures.registry import all_programs, demo_programs
+
+    covered = {s.program for s in SCENARIOS}
+    rows = list(all_programs()) + list(demo_programs())
+    missing = [info.name for info in rows if info.name not in covered]
+    assert not missing, f"registry programs without a gate scenario: {missing}"
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=[s.key for s in SCENARIOS])
 def test_liveness_preserves_verdict_and_terminals(scenario):
-    base = run_scenario(scenario, por=False)
-    live = run_scenario(scenario, por=False, liveness=True)
+    base = run_scenario(scenario)
+    live = run_scenario(scenario, liveness=True)
 
     # Same verdict, same truncation, same search: the detector hooks the
     # dedupe site *before* pruning and never redirects the frontier.
@@ -37,15 +48,6 @@ def test_liveness_preserves_verdict_and_terminals(scenario):
 
     # And the flag is what arms it.
     assert base.cycles == []
-
-
-def test_liveness_composes_with_por():
-    """Both flags together still preserve the POR-reduced search."""
-    scenario = POR_SCENARIOS[0]  # CAS-lock bump||bump
-    reduced = run_scenario(scenario, por=True)
-    both = run_scenario(scenario, por=True, liveness=True)
-    assert reduced.explored == both.explored
-    assert terminal_signature(reduced) == terminal_signature(both)
 
 
 def test_verifier_verdict_unchanged_under_liveness_default():
@@ -71,7 +73,7 @@ def test_verifier_verdict_unchanged_under_liveness_default():
 
 def test_sweep_liveness_flag_is_restored():
     """run_sweep(liveness=True) must not leak the default into the
-    caller's process (mirrors the POR installation contract)."""
+    caller's process."""
     from repro.core.verify import liveness_default
     from repro.engine import run_sweep
 
@@ -79,3 +81,28 @@ def test_sweep_liveness_flag_is_restored():
     result = run_sweep(["CAS-lock"], jobs=1, cache=False, liveness=True)
     assert result.ok
     assert not liveness_default()
+
+
+@pytest.mark.parametrize("program", ["Ticketed lock", "Unfair lock demo"])
+def test_cache_replay_under_liveness_matches_cold_liveness(program, tmp_path):
+    """The cache key ignores ``liveness``, so an entry stored without the
+    detector is replayed under ``--liveness``; the replayed report (every
+    obligation, witnesses included, timings stripped) must equal a cold
+    ``--liveness`` run's."""
+    from repro.engine import run_sweep
+
+    def obligations(result):
+        report = result.outcome(program).report
+        return [
+            {k: v for k, v in o.to_dict().items() if k != "seconds"}
+            for o in report.obligations
+        ]
+
+    run_sweep([program], jobs=1, cache_dir=tmp_path, journal=False)
+    replayed = run_sweep(
+        [program], jobs=1, cache_dir=tmp_path, journal=False, liveness=True
+    )
+    cold = run_sweep([program], jobs=1, cache=False, journal=False, liveness=True)
+    assert replayed.hits == 1
+    assert obligations(replayed) == obligations(cold)
+    assert replayed.exit_code() == cold.exit_code()

@@ -6,7 +6,7 @@ structured counterexample witness whose minimized schedule is strictly
 shorter than the original and replays deterministically to the same
 violation; witnesses survive the engine's worker IPC and the persistent
 obligation cache; a traced sweep emits valid Chrome-trace JSON carrying
-the explorer's frontier/prune/POR counters and the cache's hit/miss
+the explorer's frontier/prune counters and the cache's hit/miss
 events; and the traceback/issue-truncation satellites behave.
 """
 
@@ -356,7 +356,6 @@ class TestEngineRoundTrips:
             "deduped",
             "frontier_peak",
             "env_budget",
-            "por_pruned",
             "violations",
         ):
             assert key in explore_args
@@ -420,13 +419,13 @@ class TestExport:
     def test_counters_sum_span_args_across_calls(self):
         with tracer.tracing() as tr:
             for explored in (3, 4):
-                with tracer.span("explore", "explore", explored=explored, por_active=True):
+                with tracer.span("explore", "explore", explored=explored, flagged=True):
                     pass
             with tracer.span("obligation", "verify", program="not-a-number"):
                 pass
         totals = counter_totals(tr.records)
         assert totals["explore.explored"] == 7
-        assert totals["explore.por_active"] == 2
+        assert totals["explore.flagged"] == 2
         assert not any(key.startswith("obligation.") for key in totals)
 
     def test_render_profile(self):
