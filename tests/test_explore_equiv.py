@@ -1,125 +1,21 @@
-"""The exploration-scaling soundness gate: every reduction ≡ serial.
+"""Scenario coverage for the exploration gates.
 
-PR 7 stacks three scaling mechanisms on the exhaustive explorer —
-frontier-sharded parallelism, thread-identity symmetry reduction and
-memo compaction — and each must preserve what the serial search proves.
-For every registry program *including the demo rows*
-(:data:`repro.analysis.scenarios.EXPLORE_SCENARIOS`), this gate runs a
-matrix of flag combinations against the plain serial exploration and
-asserts, per combination:
-
-* **verdict equality** — violation-freeness must match;
-* **violation-kind equality** — a reduced run may neither invent nor
-  lose a kind of failure (a lost shard surfaces as kind-"infra", which
-  this catches);
-* **exact terminal containment** — a reduced run never reaches a
-  terminal (result + final shared state) the serial run cannot;
-* **terminal-set equality** — exact for non-symmetry combinations
-  (parallel dedupe is merely weaker than serial dedupe, so it may
-  re-explore but never skip); modulo permutation of sibling-thread
-  result pairs for symmetry combinations, whose memo quotients mirror
-  configurations.  The one scenario whose identical siblings feed
-  order-sensitive join logic (``sym_exact=False``, the spanning tree:
-  the winning child decides which edge slot the parent writes) keeps a
-  strict-subset representative set — the standard symmetry quotient —
-  and is asserted as such so a regression to full loss stays visible.
-
-Counters (``explored``, ``deduped``) are deliberately *not* compared
-for parallel combinations: cross-shard dedupe is weaker than serial
-dedupe, so counts inflate deterministically without affecting coverage.
+Every registry program, *including the demo rows*, must have a
+representative scenario in :mod:`repro.analysis.scenarios`: the
+liveness gate and the explorer benchmarks run on that list, so a
+program without one would go unexplored by them.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.scenarios import EXPLORE_SCENARIOS, run_scenario
-
-#: The combination matrix: every scaling flag exercised alone and all of
-#: them stacked (with POR and the liveness observer, which must stay
-#: observational under the new memo layouts too).
-COMBOS = (
-    ("par2", dict(por=False, parallel=2)),
-    ("sym", dict(por=False, symmetry=True)),
-    ("sym+por", dict(por=True, symmetry=True)),
-    ("all", dict(por=True, symmetry=True, parallel=2, liveness=True)),
-)
-
-_IDS = [
-    f"{s.key}-{name}" for s in EXPLORE_SCENARIOS for name, __ in COMBOS
-]
-_CASES = [(s, name, kwargs) for s in EXPLORE_SCENARIOS for name, kwargs in COMBOS]
+from repro.analysis.scenarios import DEMO_SCENARIOS, MAIN_SCENARIOS
 
 
 def test_every_registry_program_has_a_scenario():
     """Adding a case study or demo row must force a gate scenario for it."""
     from repro.structures.registry import all_programs, demo_programs
 
-    covered = {s.program for s in EXPLORE_SCENARIOS}
+    covered = {s.program for s in MAIN_SCENARIOS + DEMO_SCENARIOS}
     rows = list(all_programs()) + list(demo_programs())
     missing = [info.name for info in rows if info.name not in covered]
     assert not missing, f"registry programs without an explore gate scenario: {missing}"
-
-
-@pytest.mark.parametrize(("scenario", "name", "kwargs"), _CASES, ids=_IDS)
-def test_reduction_preserves_verdict_and_terminals(scenario, name, kwargs):
-    base = run_scenario(scenario, por=False)
-    combo = run_scenario(scenario, **kwargs)
-
-    # Verdict: violation-freeness and the *kinds* of failure must match.
-    assert (not base.violations) == (not combo.violations)
-    assert {v.kind for v in base.violations} == {v.kind for v in combo.violations}
-
-    # Exact containment: a reduced run never invents a terminal.
-    base_sigs = base.terminal_signatures()
-    combo_sigs = combo.terminal_signatures()
-    assert combo_sigs <= base_sigs, (
-        f"{scenario.key}/{name} reached terminals the serial search did not: "
-        f"{sorted(combo_sigs - base_sigs)}"
-    )
-
-    symmetric = kwargs.get("symmetry", False)
-    if not symmetric:
-        # No quotient in play: the terminal sets must be identical.
-        assert combo_sigs == base_sigs
-        assert bool(base.truncated) == bool(combo.truncated)
-    elif scenario.sym_exact:
-        # Symmetry preserves the terminal set modulo permutation of
-        # sibling result pairs.
-        assert (
-            combo.symmetric_terminal_signatures()
-            == base.symmetric_terminal_signatures()
-        )
-    else:
-        # Order-sensitive join logic: the quotient keeps at least one
-        # representative per orbit, never the empty set.
-        assert combo_sigs, f"{scenario.key}/{name} lost every terminal"
-
-    # The parallel merge accounts for every worker-side terminal.
-    if kwargs.get("parallel", 1) > 1 and combo.shards:
-        assert combo.terminal_total >= len(combo_sigs)
-
-
-def test_symmetry_reduces_the_symmetric_client():
-    """``rp || rp`` is literally symmetric: the canonical memo must merge
-    mirror configurations (else the reduction is dead weight)."""
-    scenario = next(
-        s for s in EXPLORE_SCENARIOS if s.key == "Pair snapshot/rp||rp"
-    )
-    base = run_scenario(scenario, por=False)
-    reduced = run_scenario(scenario, por=False, symmetry=True)
-    assert reduced.explored < base.explored
-    assert reduced.symmetry_active
-
-
-def test_parallel_exploration_is_deterministic():
-    """Two parallel runs of the same scenario agree on everything the
-    gate compares — shard scheduling must not leak into the verdict."""
-    scenario = next(
-        s for s in EXPLORE_SCENARIOS if s.key == "Pair snapshot/rp||(rp||wx)"
-    )
-    first = run_scenario(scenario, por=False, parallel=2)
-    second = run_scenario(scenario, por=False, parallel=2)
-    assert first.terminal_signatures() == second.terminal_signatures()
-    assert {v.kind for v in first.violations} == {v.kind for v in second.violations}
-    assert first.terminal_total == second.terminal_total

@@ -23,16 +23,6 @@ from repro.analysis.scenarios import (
 SCENARIOS = MAIN_SCENARIOS + DEMO_SCENARIOS
 
 
-def test_every_registry_program_has_a_scenario():
-    """Adding a case study or demo row must force a gate scenario for it."""
-    from repro.structures.registry import all_programs, demo_programs
-
-    covered = {s.program for s in SCENARIOS}
-    rows = list(all_programs()) + list(demo_programs())
-    missing = [info.name for info in rows if info.name not in covered]
-    assert not missing, f"registry programs without a gate scenario: {missing}"
-
-
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=[s.key for s in SCENARIOS])
 def test_liveness_preserves_verdict_and_terminals(scenario):
     base = run_scenario(scenario)

@@ -1,67 +1,19 @@
-"""The POR soundness gate: reduced search ≡ unreduced search.
+"""Scenario coverage for the case studies.
 
-Partial-order reduction may only prune redundant interleavings — for
-every representative Main scenario of every registry program
-(:mod:`repro.analysis.scenarios`), exploring with ``por=True`` must
-produce the same verdict and the same terminal set (results + final
-shared states) as the exhaustive search, and never explore more.
-
-Where the static analysis can't certify independence (family caps,
-instance blow-ups, unknown pending keys) the oracle fails open and the
-two searches coincide exactly; where it can, the equality below is the
-evidence the ample-set construction is sound on this framework's actual
-models, not just on paper.
+Every case study in the registry must have a representative Main
+scenario (:data:`repro.analysis.scenarios.MAIN_SCENARIOS`), the list
+the liveness gate and the explorer benchmarks run on.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.scenarios import (
-    POR_SCENARIOS,
-    por_scenarios,
-    run_scenario,
-    terminal_signature,
-)
+from repro.analysis.scenarios import MAIN_SCENARIOS
 
 
 def test_every_registry_program_has_a_scenario():
-    """Adding a 12th case study must force a POR gate scenario for it."""
+    """Adding a 12th case study must force a Main scenario for it."""
     from repro.structures.registry import all_programs
 
-    covered = {s.program for s in POR_SCENARIOS}
+    covered = {s.program for s in MAIN_SCENARIOS}
     missing = [info.name for info in all_programs() if info.name not in covered]
-    assert not missing, f"registry programs without a POR gate scenario: {missing}"
-
-
-@pytest.mark.parametrize("scenario", POR_SCENARIOS, ids=[s.key for s in POR_SCENARIOS])
-def test_por_preserves_verdict_and_terminals(scenario):
-    base = run_scenario(scenario, por=False)
-    reduced = run_scenario(scenario, por=True)
-
-    # Same verdict (violation-freeness) and same truncation behaviour.
-    assert (not base.violations) == (not reduced.violations)
-    assert bool(base.truncated) == bool(reduced.truncated)
-
-    # Same terminal set: every result and final shared state the full
-    # search reaches, the reduced search reaches too — and vice versa.
-    assert terminal_signature(base) == terminal_signature(reduced)
-
-    # Reduction is a reduction: never more configurations, and the
-    # pruned count accounts exactly for any difference in expansions.
-    assert reduced.explored <= base.explored
-    if not reduced.por_active:
-        assert reduced.explored == base.explored
-        assert reduced.por_pruned == 0
-
-
-def test_reduction_happens_somewhere():
-    """At least one registry scenario genuinely shrinks (else the oracle
-    is dead weight and the A/B flag measures nothing)."""
-    wins = []
-    for scenario in por_scenarios(["Pair snapshot"]):
-        base = run_scenario(scenario, por=False)
-        reduced = run_scenario(scenario, por=True)
-        if reduced.explored < base.explored:
-            wins.append((scenario.key, base.explored, reduced.explored))
-    assert wins, "POR reduced no pair-snapshot scenario"
+    assert not missing, f"registry programs without a Main scenario: {missing}"
