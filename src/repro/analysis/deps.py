@@ -57,6 +57,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Sequence
+from weakref import WeakKeyDictionary
 
 from .diagnostics import Diagnostic, diag
 
@@ -342,10 +343,11 @@ _PRIMITIVES = (type(None), bool, int, float, complex, str, bytes, bytearray, ran
 
 #: Walk verdicts decidable from the type alone.  Every branch of
 #: :meth:`_InertCache._walk` dispatches on facts of ``type(obj)`` —
-#: computing them once per class (classes are few and long-lived, so
-#: this process-level cache cannot grow the way per-instance memos can)
-#: turns the per-node cost of walking thousands of fresh ``State``
-#: objects per sweep into one dict hit.
+#: computing them once per class turns the per-node cost of walking
+#: thousands of fresh ``State`` objects per sweep into one dict hit.
+#: The cache is keyed weakly: a resident daemon hot-reloads case-study
+#: modules, and each reload makes new classes that must not be kept
+#: alive (with every method they hold) by the entries of the old ones.
 _K_INERT, _K_CODE, _K_SEQ, _K_DICT, _K_TRACKED, _K_INSTANCE = range(6)
 
 _CODE_TYPES = (
@@ -360,7 +362,7 @@ _CODE_TYPES = (
     partial,
 )
 
-_CLASS_FACTS: dict[type, tuple[int, tuple[str, ...]]] = {}
+_CLASS_FACTS: WeakKeyDictionary[type, tuple[int, tuple[str, ...]]] = WeakKeyDictionary()
 
 
 def _class_facts(cls: type) -> tuple[int, tuple[str, ...]]:

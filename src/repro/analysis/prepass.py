@@ -8,7 +8,7 @@ over all its stability obligations):
 
 1. **Environment closure** — every environment move from every modelled
    state lands back inside the modelled family (one sweep per
-   ``(concurroid, states)`` pair, cached).
+   ``(concurroid, states)`` pair, cached while the concurroid lives).
 2. **Self preservation** — those moves never change any label's ``self``
    projection (checked in the same sweep; this is the other-preservation
    metatheory fact seen from the observer's side).
@@ -33,6 +33,7 @@ Usage::
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
 
@@ -54,9 +55,13 @@ class StaticPrepass:
     __deps_opaque__ = True
 
     def __init__(self) -> None:
-        #: (conc id, states fingerprint) -> env-closure sweep verdict
-        self._sweeps: dict[tuple, bool] = {}
-        self._pinned: list[Concurroid] = []  # keep ids stable while cached
+        #: (conc id, states fingerprint) -> env-closure sweep verdict.  An
+        #: entry lives as long as its concurroid: verifiers build fresh
+        #: concurroids on every run, so a verdict can only be reused by
+        #: the obligations of the run that computed it, and keeping it
+        #: (or the concurroid, to keep its id unique) any longer would
+        #: grow a resident pre-pass with every request.
+        self._sweeps: dict[tuple[int, int, int], bool] = {}
         #: names of obligations discharged statically, in order
         self.skipped: list[str] = []
         #: how many obligations consulted the pre-pass
@@ -90,8 +95,9 @@ class StaticPrepass:
         conc, states = graph.conc, graph.states
         key = (id(conc), len(states), hash(states))
         if key not in self._sweeps:
-            self._pinned.append(conc)
             self._sweeps[key] = self._sweep(graph)
+            # Dropped while ``conc`` is freed, before its id can be reused.
+            weakref.finalize(conc, self._sweeps.pop, key, None).atexit = False
         return self._sweeps[key]
 
     @staticmethod

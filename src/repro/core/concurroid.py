@@ -467,9 +467,42 @@ def protocol_closure(
     the protocol (from the modelled initial states).  The result is the
     :class:`ProtocolGraph` of the closure, its states in ``repr`` order,
     keeping every edge the enumeration found.
+
+    While a plan is collected without executing it
+    (:func:`repro.core.verify.planning_only`), the obligations that close
+    over the result never run, so the graph is returned *deferred*: it
+    enumerates on first use, to exactly the graph an eager call builds
+    (and raises the same :class:`MetatheoryViolation` there on overflow).
+    Executing runs stay eager, so an overflow raises at this call and not
+    inside an obligation, where it would be recorded as a failure.
     """
+    from .verify import planning_only
+
+    initials = tuple(initials)
+    if planning_only():
+        return _DeferredGraph(conc, initials, max_states)
+    graph = ProtocolGraph.__new__(ProtocolGraph)
+    _enumerate_closure(graph, conc, initials, max_states, deferred=False)
+    return graph
+
+
+def _enumerate_closure(
+    graph: ProtocolGraph,
+    conc: Concurroid,
+    initials: tuple[State, ...],
+    max_states: int,
+    *,
+    deferred: bool,
+) -> None:
+    """Enumerate the protocol closure of ``initials`` into ``graph``.
+
+    The one place a closure is enumerated, so its ``protocol_closure``
+    span (states, edges, and whether the graph was ``deferred``) says
+    where the work ran."""
     from collections import deque
 
+    tr = obs_tracer.current()
+    started = time.perf_counter() if tr is not None else 0.0
     seen: dict[State, State] = {}
     frontier: deque[State] = deque()
     for s in initials:
@@ -493,10 +526,50 @@ def protocol_closure(
         # Edges name the first-seen objects; the fresh copies die here.
         trans[current] = tuple(seen[s2] for s2 in dict.fromkeys(steps))
         env[current] = tuple(seen[s2] for s2 in dict.fromkeys(moves))
-    graph = ProtocolGraph(conc, sorted(seen, key=repr))
+    ProtocolGraph.__init__(graph, conc, sorted(seen, key=repr))
     graph.trans = trans
     graph.env = env
-    return graph
+    if tr is not None:
+        tr.span(
+            "protocol_closure",
+            "core",
+            started * 1e6,
+            time.perf_counter() * 1e6,
+            concurroid=type(conc).__name__,
+            states=len(seen),
+            edges=sum(map(len, trans.values())) + sum(map(len, env.values())),
+            deferred=deferred,
+        )
+
+
+class _DeferredGraph(ProtocolGraph):
+    """A :func:`protocol_closure` result that is not enumerated yet.
+
+    Only ``conc`` is set; the first read of a table (``len``, iteration,
+    membership and every query method read one) enumerates the closure
+    and turns the object into a plain :class:`ProtocolGraph`, so the
+    checkers' hot paths never pay for the deferral.  Reads of any other
+    name (introspection) enumerate nothing."""
+
+    #: the attributes :meth:`ProtocolGraph.__init__` sets besides ``conc``
+    _TABLES = frozenset(
+        ("states", "_members", "env", "trans", "coherence", "framing_masks")
+    )
+
+    def __init__(
+        self, conc: Concurroid, initials: tuple[State, ...], max_states: int
+    ) -> None:
+        self.conc = conc
+        self._pending = (initials, max_states)
+
+    def __getattr__(self, name: str) -> Any:
+        pending = self.__dict__.get("_pending")
+        if pending is None or name not in self._TABLES:
+            raise AttributeError(name)
+        _enumerate_closure(self, self.conc, *pending, deferred=True)
+        del self._pending
+        self.__class__ = ProtocolGraph
+        return getattr(self, name)
 
 
 def assert_metatheory(conc: Concurroid, states: Iterable[State]) -> None:

@@ -207,6 +207,14 @@ def _plan_executes() -> bool:
     return getattr(_PLAN_SINK, "execute", False)
 
 
+def planning_only() -> bool:
+    """Whether this thread is collecting a plan without executing it:
+    obligations are recorded and never run, so set-up that only closes
+    over a protocol closure need not enumerate it (see
+    :func:`repro.core.concurroid.protocol_closure`)."""
+    return _plan_sink() is not None and not _plan_executes()
+
+
 class collecting_obligations:
     """Context manager installing a plan sink; iterate the instance (or
     read ``.plan``) for the :class:`ObligationPlan` list collected while

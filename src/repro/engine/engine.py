@@ -503,8 +503,9 @@ def _serial_results(
     ``resident_prepass`` is a caller-owned
     :class:`~repro.analysis.prepass.StaticPrepass` installed for the
     duration instead of a throwaway one: the serve daemon passes its
-    resident fact store here so model sweeps amortize across *requests*,
-    not just across the obligations of one sweep.  ``prepass=False``
+    resident one here so its skip counters span requests (a sweep
+    verdict is still shared only by the obligations of one run, see
+    :class:`~repro.analysis.prepass.StaticPrepass`).  ``prepass=False``
     installs none, even over one the caller had installed.  The caller's
     pre-pass is restored on return either way.
     """

@@ -11,7 +11,8 @@ unsound.  :class:`ModuleTracker` closes the gap:
 * **Case-study edits** (``repro.structures.*``) are safe to hot-reload:
   the tracker reloads every changed module *plus its transitive
   importers within the structures package* (import edges recovered
-  statically from the AST, so an unimported module can never be missed),
+  statically from the AST, so an unimported module can never be missed;
+  each file is parsed once per source version, not once per refresh),
   deps-first, then drops the registry's memoized rows
   (:func:`repro.structures.registry.reset_registry`) so the next sweep
   re-binds the fresh verifier functions.  The registry module itself is
@@ -65,49 +66,50 @@ def _loaded_repro_modules() -> dict[str, str]:
     return out
 
 
-def _structures_imports(path: str) -> set[str]:
-    """Dotted ``repro.structures.*`` modules imported by the module at
-    ``path``, recovered from its AST (never by importing it)."""
+def _package_of(name: str) -> str:
+    """The package ``name``'s relative imports resolve against: its
+    ``__package__`` (a package ``__init__`` is its own package), else
+    the parent of the dotted name."""
+    package = getattr(sys.modules.get(name), "__package__", None)
+    if package:
+        return package
+    return name.rsplit(".", 1)[0] if "." in name else name
+
+
+def _import_edges(source: bytes, package: str) -> frozenset[str]:
+    """Dotted ``repro.structures.*`` modules a module imports, recovered
+    from its AST (never by importing it): absolute imports, and relative
+    imports (``from .x import y``, ``from ..a import b``) resolved
+    against ``package``.  For ``from m import y`` both ``m`` and
+    ``m.y`` are edges: ``y`` may be a submodule rather than an
+    attribute."""
     try:
-        tree = ast.parse(Path(path).read_text(encoding="utf-8"))
-    except (OSError, SyntaxError):
-        return set()
+        tree = ast.parse(source)
+    except (SyntaxError, ValueError):
+        return frozenset()
     found: set[str] = set()
+    parts = package.split(".")
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.startswith(STRUCTURES_PREFIX):
                     found.add(alias.name)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.startswith(STRUCTURES_PREFIX):
-                found.add(node.module)
-                # ``from repro.structures.x import y``: y may itself be a
-                # submodule rather than an attribute.
-                for alias in node.names:
-                    found.add(f"{node.module}.{alias.name}")
-    return found
-
-
-def _relative_imports(path: str, package: str) -> set[str]:
-    """Dotted targets of *relative* imports in the module at ``path``,
-    resolved against its package (``from .x import y``, ``from ..a import b``)."""
-    try:
-        tree = ast.parse(Path(path).read_text(encoding="utf-8"))
-    except (OSError, SyntaxError):
-        return set()
-    found: set[str] = set()
-    parts = package.split(".")
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ImportFrom) or node.level == 0:
             continue
-        if node.level > len(parts):
+        if not isinstance(node, ast.ImportFrom):
             continue
-        base = ".".join(parts[: len(parts) - node.level + 1])
-        target = f"{base}.{node.module}" if node.module else base
+        if node.level == 0:
+            if not (node.module and node.module.startswith(STRUCTURES_PREFIX)):
+                continue
+            target = node.module
+        elif node.level > len(parts):
+            continue
+        else:
+            base = ".".join(parts[: len(parts) - node.level + 1])
+            target = f"{base}.{node.module}" if node.module else base
         found.add(target)
         for alias in node.names:
             found.add(f"{target}.{alias.name}")
-    return found
+    return frozenset(found)
 
 
 @dataclass
@@ -139,6 +141,9 @@ class ModuleTracker:
 
     def __init__(self) -> None:
         self._digests: dict[str, str | None] = {}
+        #: (path, package) -> (source digest, import edges) of the version
+        #: last parsed: edges change only when the file's digest does
+        self._edges: dict[tuple[str, str], tuple[str, frozenset[str]]] = {}
         #: Latched on the first framework edit; only a restart clears it.
         self.stale_framework = False
         self.snapshot()
@@ -200,6 +205,21 @@ class ModuleTracker:
                     framework.append(name)
         return structures, framework, missing
 
+    def _imports(self, name: str, path: str) -> frozenset[str]:
+        """The import edges of module ``name`` (see :func:`_import_edges`),
+        parsed once per source version."""
+        try:
+            source = Path(path).read_bytes()
+        except OSError:
+            return frozenset()
+        digest = hashlib.sha256(source).hexdigest()
+        key = (path, _package_of(name))
+        known = self._edges.get(key)
+        if known is None or known[0] != digest:
+            known = (digest, _import_edges(source, key[1]))
+            self._edges[key] = known
+        return known[1]
+
     def _dependents_closure(self, changed: set[str]) -> set[str]:
         """``changed`` plus every loaded structures module that
         (transitively) imports one of them."""
@@ -208,14 +228,10 @@ class ModuleTracker:
             for name, path in _loaded_repro_modules().items()
             if name.startswith(STRUCTURES_PREFIX)
         }
-        imports: dict[str, set[str]] = {}
-        for name, path in loaded.items():
-            package = name.rsplit(".", 1)[0] if "." in name else name
-            module = sys.modules.get(name)
-            if module is not None and getattr(module, "__package__", None):
-                package = module.__package__ or package
-            targets = _structures_imports(path) | _relative_imports(path, package)
-            imports[name] = {t for t in targets if t in loaded}
+        imports = {
+            name: self._imports(name, path) & loaded.keys()
+            for name, path in loaded.items()
+        }
         closure = set(changed)
         grew = True
         while grew:
@@ -230,14 +246,11 @@ class ModuleTracker:
         """Deps-first topological order (ties broken by name, cycles by
         name too — Python tolerates reloading a cycle in any order)."""
         loaded = _loaded_repro_modules()
-        imports: dict[str, set[str]] = {}
-        for name in names:
-            path = loaded.get(name)
-            if path is None:
-                continue
-            package = name.rsplit(".", 1)[0] if "." in name else name
-            targets = _structures_imports(path) | _relative_imports(path, package)
-            imports[name] = {t for t in targets if t in names and t != name}
+        imports = {
+            name: (self._imports(name, loaded[name]) & names) - {name}
+            for name in names
+            if name in loaded
+        }
         order: list[str] = []
         placed: set[str] = set()
         pending = sorted(imports)

@@ -1,16 +1,19 @@
 """The daemon's resident verification session.
 
-One :class:`Session` owns everything ``repro serve`` keeps warm between
-requests — the four costs a cold ``repro verify`` pays every time:
+One :class:`Session` owns everything ``repro serve`` keeps resident
+between requests:
 
 * the **registry**: case-study modules stay imported (the daemon's
   process *is* the warm interpreter);
 * the **static pre-pass**: one resident
   :class:`~repro.analysis.prepass.StaticPrepass` is installed for every
-  in-process sweep, so env-closure sweeps amortize across requests
-  (sound: its memos are keyed by — and pin — the very objects they
-  describe, so a hot-reloaded module's fresh objects recompute while
-  unchanged modules stay warm);
+  in-process sweep, for its ``status`` counters.  Its env-closure sweep
+  memo is per run: an entry lives as long as the concurroid it
+  describes, and verifiers build fresh concurroids on every run, so the
+  Stab obligations of one run share a sweep and nothing accrues across
+  requests;
+* the **import edges** of every case-study module, parsed once per
+  source version (:class:`~repro.serve.reload.ModuleTracker`);
 * the **dependency-cone fingerprints**: per-program fingerprints are
   kept resident and diffed on demand (the watcher's delta detector);
 * the **obligation cache**: a resident handle plus the OS page cache

@@ -15,6 +15,7 @@ import sys
 import pytest
 
 import repro.analysis.deps as deps_mod
+import repro.core.concurroid as conc_mod
 from repro.analysis.deps import (
     TOPLEVEL,
     WHOLE_MODULE,
@@ -25,9 +26,12 @@ from repro.analysis.deps import (
     analyze_obligations,
     deps_registry,
 )
-from repro.core.verify import ReportBuilder
+from repro.core.verify import ReportBuilder, collecting_obligations
 from repro.engine.depgraph import build_depgraph, depgraph_from_analysis
+from repro.obs import tracer
 from repro.structures.registry import ProgramInfo, registry_programs
+
+from .helpers import CounterConcurroid, counter_state
 
 TICKETED_MODULE = "repro.structures.locks.ticketed"
 
@@ -434,3 +438,57 @@ class TestDepGraph:
 
     def test_build_depgraph_unusable_returns_none(self):
         assert build_depgraph(_fake_info("Dup", _dup_verifier)) is None
+
+
+# -- deferred closures in plan collection --------------------------------------
+
+
+class TestDeferredPlanning:
+    """Plan collection returns deferred protocol closures; the walk must
+    see exactly what it sees when every closure is enumerated."""
+
+    def test_collection_enumerates_nothing_and_forcing_changes_no_cone(
+        self, monkeypatch
+    ):
+        created = []
+        init = conc_mod._DeferredGraph.__init__
+
+        def recording(self, *args):
+            init(self, *args)
+            created.append(self)
+
+        def enumerations(records):
+            return [r[-1] for r in records if r[1] == "protocol_closure"]
+
+        monkeypatch.setattr(conc_mod._DeferredGraph, "__init__", recording)
+        # the verifybench rows: every registry row but Flat combiner
+        for info in registry_programs():
+            if info.name == "Flat combiner":
+                continue
+            created.clear()
+            with tracer.tracing(mirror_env=False) as tr:
+                with collecting_obligations() as col:
+                    info.run_verifier()
+                assert enumerations(tr.records) == [], info.name
+                for graph in created:
+                    len(graph)  # enumerate before the walk
+            spans = enumerations(tr.records)
+            assert len(spans) == len(created), info.name
+            assert all(span["deferred"] for span in spans)
+            assert all(type(g) is conc_mod.ProtocolGraph for g in created)
+            forced = build_depgraph(info, plan=list(col))
+            deferred = build_depgraph(info)
+            assert forced is not None and deferred is not None, info.name
+            assert deferred.to_dict() == forced.to_dict(), info.name
+
+    def test_closure_overflow_in_setup_fails_collection(self):
+        def verifier():
+            conc = CounterConcurroid(cap=1000)
+            states = conc_mod.protocol_closure(conc, [counter_state(conc)], max_states=10)
+            builder = ReportBuilder("Overflow")
+            for i, __ in enumerate(states):  # set-up reads the graph
+                builder.obligation(f"ob-{i}", "Stab", lambda: [])
+            return builder.build()
+
+        analysis = analyze_obligations(_fake_info("Overflow", verifier))
+        assert analysis.collection_failed

@@ -33,9 +33,10 @@ from repro.core.concurroid import (
     protocol_closure,
     state_graph,
 )
-from repro.core.errors import StabilityViolation
+from repro.core.errors import MetatheoryViolation, StabilityViolation
 from repro.core.stability import StabilityIssue, _record_stability_witness
 from repro.core.state import State, SubjState
+from repro.core.verify import collecting_obligations
 from repro.heap import Heap, Ptr, pts
 from repro.obs import tracer
 from repro.structures.locks.verify import (
@@ -693,6 +694,74 @@ class TestProtocolGraph:
             assert graph.trans[s] == tuple(
                 dict.fromkeys(s2 for t in conc.transitions() for __, s2 in t.successors(s))
             )
+
+    def test_closure_span_counts_the_enumeration(self):
+        conc = CounterConcurroid(cap=3)
+        graph, span = traced(protocol_closure, conc, [counter_state(conc)])
+        edges = sum(map(len, graph.env.values())) + sum(map(len, graph.trans.values()))
+        assert span["states"] == len(graph) and span["edges"] == edges > 0
+        assert span["deferred"] is False
+
+
+# -- plan collection defers the closure ---------------------------------------------
+
+
+def _ticketed_initials():
+    lock = make_counter_ticketed_lock()
+    initials = [lock_initial_state(lock, a, b) for a in range(2) for b in range(2)]
+    return lock.concurroid, initials
+
+
+class TestDeferredClosure:
+    """Collecting a plan without executing it runs no obligation, so
+    ``protocol_closure`` defers the enumeration to the graph's first use."""
+
+    def test_first_use_enumerates_the_eager_graph(self):
+        conc, initials = _ticketed_initials()
+        eager = protocol_closure(conc, initials, max_states=50_000)
+        with collecting_obligations():
+            graph = protocol_closure(conc, iter(initials), max_states=50_000)
+            assert isinstance(graph, ProtocolGraph) and graph.conc is conc
+            assert set(vars(graph)) == {"conc", "_pending"}
+            # introspection of other names enumerates nothing
+            assert getattr(graph, "no_such_table", None) is None
+            assert set(vars(graph)) == {"conc", "_pending"}
+            size, span = traced(len, graph)
+        assert size == span["states"] == len(eager) and span["deferred"] is True
+        assert type(graph) is ProtocolGraph
+        assert graph.states == eager.states
+        assert graph.env == eager.env and graph.trans == eager.trans
+        assert state_graph(conc, graph) is graph
+        assert set(vars(graph)) == TestCanonicalKeys.ATTRIBUTES
+        members = {id(s) for s in graph.states}
+        assert all(id(s) in members for s in graph.env)
+
+    def test_deferred_tables_are_the_graph_attributes(self):
+        eager = protocol_closure(*_ticketed_initials())
+        assert conc_mod._DeferredGraph._TABLES == set(vars(eager)) - {"conc"}
+
+    def test_setup_reading_a_deferred_graph_sees_its_states(self):
+        conc, initials = _ticketed_initials()
+        eager = protocol_closure(conc, initials)
+        with collecting_obligations():
+            graph = protocol_closure(conc, initials)
+            assert list(graph) == list(eager)
+            assert all(s in graph for s in eager.states)
+            s = eager.states[0]
+            assert graph.coherent(s) == conc.coherent(s)
+            assert graph.env_successors(s) == eager.env[s]
+
+    def test_overflow_raises_on_first_use_during_collection(self):
+        conc = CounterConcurroid(cap=1000)
+        with collecting_obligations():
+            graph = protocol_closure(conc, [counter_state(conc)], max_states=10)
+            with pytest.raises(MetatheoryViolation):
+                len(graph)
+            with pytest.raises(MetatheoryViolation):
+                list(graph)  # still pending: every use raises again
+        with collecting_obligations(execute=True):
+            with pytest.raises(MetatheoryViolation):
+                protocol_closure(conc, [counter_state(conc)], max_states=10)
 
 
 def traced(fn: Callable, *args: Any, **kwargs: Any) -> tuple[Any, dict]:

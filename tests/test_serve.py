@@ -23,7 +23,11 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import socket
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from pathlib import Path
@@ -40,6 +44,7 @@ from repro.serve import (
     claim_socket_path,
 )
 from repro.serve.protocol import ProtocolError, error_exit_code, parse_request
+from repro.serve.reload import ModuleTracker
 from repro.serve.watcher import Watcher
 
 STRUCTURES = Path(__file__).resolve().parents[1] / "src" / "repro" / "structures"
@@ -331,6 +336,18 @@ class TestReload:
             target.write_text(original, encoding="utf-8")
             call("reload", socket_path=daemon.socket_path)
 
+    def test_package_init_reloads_after_its_submodules(self):
+        # ``locks/__init__.py`` re-exports ``CASLock`` with ``from .caslock
+        # import ...``: its relative imports resolve against the package
+        # itself, so it must reload after ``locks.caslock``, or it keeps
+        # re-exporting the old class.
+        import repro.structures.locks  # noqa: F401
+
+        order = ModuleTracker()._reload_order(
+            {"repro.structures.locks", "repro.structures.locks.caslock"}
+        )
+        assert order == ["repro.structures.locks.caslock", "repro.structures.locks"]
+
     def test_framework_stale_latch_refuses_analysis_ops(self, daemon):
         daemon.session.tracker.stale_framework = True
         frame = call(
@@ -386,6 +403,87 @@ class TestWatch:
         code = watcher.handle_change([str(tmp_path / "unrelated.py")])
         assert code == 0
         assert watcher.cycles == 1
+
+
+#: Run in a child interpreter over a private copy of ``src/``: three
+#: rounds of a CAS-lock edit and its undo through ``Watcher.handle_change``
+#: on a daemon set up like the ``daemon`` fixture.  After each round it
+#: counts the live classes of ``repro.structures`` modules and the live
+#: concurroids, and checks that the ``locks`` package re-exports the
+#: reloaded ``CASLock``.
+_CYCLE_CENSUS = textwrap.dedent(
+    """
+    import gc, json, os, sys
+    from pathlib import Path
+
+    from repro.core.concurroid import Concurroid
+    from repro.serve import DaemonServer, Session, Watcher, call
+
+    tmp, target = Path(sys.argv[1]), Path(sys.argv[2])
+    original = target.read_text(encoding="utf-8")
+    anchor = "    def acquire(self) -> Prog:\\n"
+    edited = original.replace(anchor, anchor + "        # census edit\\n", 1)
+    assert edited != original
+    mtime = target.stat().st_mtime_ns
+    session = Session(cache_dir=str(tmp / "cache"))
+    server = DaemonServer(session, socket_path=tmp / "serve.sock")
+    server.start()
+    out = {"codes": [], "classes": [], "concurroids": [], "reexported": []}
+    try:
+        call("verify", {"programs": ["CAS-lock"]}, socket_path=server.socket_path,
+             timeout=300)
+        session.refresh_fingerprints()
+        watcher = Watcher(server, out=None)
+        writes = 0
+        for __ in range(3):
+            for text in (edited, original):
+                writes += 1
+                target.write_text(text, encoding="utf-8")
+                os.utime(target, ns=(mtime + writes * 10**9,) * 2)
+                out["codes"].append(watcher.handle_change([str(target)]))
+            gc.collect()
+            live = gc.get_objects()
+            out["classes"].append(sum(
+                1 for o in live
+                if isinstance(o, type)
+                and str(getattr(o, "__module__", "")).startswith("repro.structures")
+            ))
+            out["concurroids"].append(sum(1 for o in live if isinstance(o, Concurroid)))
+            del live  # holds every object it counted
+            out["reexported"].append(
+                sys.modules["repro.structures.locks"].CASLock
+                is sys.modules["repro.structures.locks.caslock"].CASLock
+            )
+    finally:
+        server.stop()
+    print(json.dumps(out))
+    """
+)
+
+
+class TestCycleGrowth:
+    def test_edit_cycles_keep_no_old_classes_or_concurroids(self, tmp_path):
+        src = tmp_path / "src"
+        shutil.copytree(
+            STRUCTURES.parents[1], src, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        target = src / "repro" / "structures" / "locks" / "caslock.py"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        env.pop("REPRO_TRACE", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", _CYCLE_CENSUS, str(tmp_path), str(target)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["codes"] == [0] * 6
+        # every round re-verifies CAS-lock; after round 1 nothing accrues
+        assert out["classes"] == [out["classes"][0]] * 3
+        assert out["concurroids"] == [out["concurroids"][0]] * 3
+        assert out["reexported"] == [True] * 3
 
 
 # -- the equivalence gate -------------------------------------------------------
