@@ -17,10 +17,10 @@ wall time and outcome; the Table 1 bench aggregates these reports.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import traceback as _traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -59,117 +59,62 @@ def get_prepass():
     return _PREPASS
 
 
-# -- the liveness default -----------------------------------------------------------------
+# -- the verify options -------------------------------------------------------------------
 #
-# check_triple threads ``liveness`` to explore(); the process default
-# below is what ``liveness=None`` resolves to.  It is mirrored into the
-# REPRO_LIVENESS environment variable so engine pool workers inherit it
-# under any multiprocessing start method.  The flag turns on the bounded
-# livelock detector, whose findings are recorded as witnesses but never
-# become issues — safety verdicts are byte-identical with it on or off
-# (tests/test_liveness_equiv.py gates this).
-
-_LIVENESS_ENV = "REPRO_LIVENESS"
-_LIVENESS_DEFAULT: bool | None = None
+# What a verifier run is asked to do beyond its program: the bounded
+# livelock detector, the explorer cap scale, and the obligation-category
+# and obligation-name filters.  The engine installs one VerifyOptions
+# around each work unit's run_verifier call (the filters come with the
+# unit, the rest with the sweep); ReportBuilder.obligation and
+# check_triple read only that install.  Thread-local, like the plan sink
+# below, and nothing else — no process global, no environment — so a
+# verdict depends only on the program and the options it was run with.
 
 
-def set_liveness_default(flag: bool | None) -> None:
-    """Set (or with ``None`` clear) the process-wide liveness default."""
-    global _LIVENESS_DEFAULT
-    _LIVENESS_DEFAULT = flag
-    if flag is None:
-        os.environ.pop(_LIVENESS_ENV, None)
-    else:
-        os.environ[_LIVENESS_ENV] = "1" if flag else "0"
+@dataclass(frozen=True)
+class VerifyOptions:
+    """The options one verifier run executes under; the defaults are
+    liveness off, full explorer caps and no obligation filter."""
+
+    #: Arm the explorer's bounded livelock detector.  Its findings are
+    #: recorded as witnesses but never become issues — safety verdicts
+    #: are identical with it on or off (tests/test_liveness_equiv.py).
+    liveness: bool = False
+    #: Multiplies every check_triple's ``max_configs`` budget.  The
+    #: resource watchdog (repro.engine.watchdog) sets it below 1 as the
+    #: second rung of its degradation ladder; shrunk caps can surface
+    #: resource violations a full run would not, so the engine marks any
+    #: sweep that reached this rung as degraded (exit 3).
+    cap_scale: float = 1.0
+    #: Only obligations of these categories execute (and are recorded):
+    #: the basis of (program, obligation-group) work units, whose partial
+    #: reports the engine merges back (repro.engine.queue).
+    groups: frozenset[str] | None = None
+    #: Only obligations of these names execute (and are recorded): the
+    #: stale set of an incremental unit; the engine splices the cached
+    #: results of the rest back in plan order.
+    names: frozenset[str] | None = None
 
 
-def liveness_default() -> bool:
-    """The current liveness default (module global, else REPRO_LIVENESS)."""
-    if _LIVENESS_DEFAULT is not None:
-        return _LIVENESS_DEFAULT
-    return os.environ.get(_LIVENESS_ENV, "") == "1"
+_OPTIONS = threading.local()
+_DEFAULT_OPTIONS = VerifyOptions()
 
 
-# -- the obligation-group filter ----------------------------------------------------------
-#
-# The durable work queue (repro.engine.queue) decomposes a program's
-# verification into (program, obligation-group) units: each unit re-runs
-# the verifier with the filter restricted to one category group, so
-# ReportBuilder records (and *executes*) only that group's obligations.
-# The partial reports are merged back by the engine; equality with the
-# monolithic run is gated by tests.  Process-global like the pre-pass
-# hook: a unit worker installs the filter around one run_verifier call
-# and always restores it.
-
-_OBLIGATION_FILTER_ENV = "REPRO_OBLIGATION_GROUPS"
-_OBLIGATION_FILTER: frozenset | None = None
+def current_options() -> VerifyOptions:
+    """The options installed on this thread (the defaults when none are)."""
+    return getattr(_OPTIONS, "options", _DEFAULT_OPTIONS)
 
 
-def set_obligation_filter(categories) -> None:
-    """Restrict ReportBuilder to ``categories`` (``None`` clears).
-
-    Obligations outside the filter are neither executed nor recorded —
-    the basis of per-obligation-group work units.
-    """
-    global _OBLIGATION_FILTER
-    if categories is None:
-        _OBLIGATION_FILTER = None
-        os.environ.pop(_OBLIGATION_FILTER_ENV, None)
-    else:
-        _OBLIGATION_FILTER = frozenset(categories)
-        os.environ[_OBLIGATION_FILTER_ENV] = ",".join(sorted(_OBLIGATION_FILTER))
-
-
-def obligation_filter() -> frozenset | None:
-    """The active category filter (module global, else the env mirror)."""
-    if _OBLIGATION_FILTER is not None:
-        return _OBLIGATION_FILTER
-    text = os.environ.get(_OBLIGATION_FILTER_ENV, "").strip()
-    if not text:
-        return None
-    return frozenset(part for part in text.split(",") if part)
-
-
-# -- the obligation-name filter -----------------------------------------------------------
-#
-# Incremental re-verification (repro.engine, ``verify --incremental``)
-# re-runs only the obligations whose per-obligation dependency
-# fingerprint changed.  The selection is by obligation *name*: a unit
-# worker installs the name filter around one run_verifier call, so
-# ReportBuilder executes (and records) exactly the stale obligations and
-# the engine splices the cached results back in plan order.  Same
-# process-global + env-mirror discipline as the category filter above;
-# names may contain spaces and parentheses, so the env mirror joins on
-# an ASCII unit separator that registry obligation names never contain.
-
-_OBLIGATION_NAMES_ENV = "REPRO_OBLIGATION_NAMES"
-_OBLIGATION_NAMES_SEP = "\x1f"
-_OBLIGATION_NAMES: frozenset | None = None
-
-
-def set_obligation_name_filter(names) -> None:
-    """Restrict ReportBuilder to obligations named in ``names`` (``None``
-    clears).  Obligations outside the filter are neither executed nor
-    recorded — the basis of incremental re-verification."""
-    global _OBLIGATION_NAMES
-    if names is None:
-        _OBLIGATION_NAMES = None
-        os.environ.pop(_OBLIGATION_NAMES_ENV, None)
-    else:
-        _OBLIGATION_NAMES = frozenset(names)
-        os.environ[_OBLIGATION_NAMES_ENV] = _OBLIGATION_NAMES_SEP.join(
-            sorted(_OBLIGATION_NAMES)
-        )
-
-
-def obligation_name_filter() -> frozenset | None:
-    """The active name filter (module global, else the env mirror)."""
-    if _OBLIGATION_NAMES is not None:
-        return _OBLIGATION_NAMES
-    text = os.environ.get(_OBLIGATION_NAMES_ENV, "")
-    if not text:
-        return None
-    return frozenset(text.split(_OBLIGATION_NAMES_SEP))
+@contextmanager
+def options_installed(options: VerifyOptions):
+    """Install ``options`` on this thread for the ``with`` body; the
+    previous install is restored on exit."""
+    previous = current_options()
+    _OPTIONS.options = options
+    try:
+        yield options
+    finally:
+        _OPTIONS.options = previous
 
 
 # -- the obligation plan hook -------------------------------------------------------------
@@ -243,39 +188,6 @@ class collecting_obligations:
 
     def __iter__(self):
         return iter(self.plan)
-
-
-# -- the explorer cap scale ---------------------------------------------------------------
-#
-# The resource watchdog (repro.engine.watchdog) shrinks exploration as
-# the second rung of its degradation ladder: a scale < 1 multiplies the
-# ``max_configs`` budget of every check_triple in the process.  Shrunk
-# caps can surface resource violations a full run would not, so the
-# engine marks any sweep that reached this rung as degraded (exit 3) —
-# the scale trades completeness for staying alive, never silently.
-
-_EXPLORE_CAP_ENV = "REPRO_EXPLORE_CAP_SCALE"
-_EXPLORE_CAP_SCALE: float | None = None
-
-
-def set_explore_cap_scale(scale: float | None) -> None:
-    """Set (or with ``None`` clear) the process-wide exploration-cap scale."""
-    global _EXPLORE_CAP_SCALE
-    _EXPLORE_CAP_SCALE = scale
-    if scale is None:
-        os.environ.pop(_EXPLORE_CAP_ENV, None)
-    else:
-        os.environ[_EXPLORE_CAP_ENV] = repr(float(scale))
-
-
-def explore_cap_scale() -> float:
-    """The current cap scale (module global, else REPRO_EXPLORE_CAP_SCALE)."""
-    if _EXPLORE_CAP_SCALE is not None:
-        return _EXPLORE_CAP_SCALE
-    try:
-        return float(os.environ.get(_EXPLORE_CAP_ENV, "1.0"))
-    except ValueError:
-        return 1.0
 
 
 # Skip attribution is scoped, not global: each in-flight obligation pushes
@@ -499,16 +411,14 @@ class ReportBuilder:
             sink.append(ObligationPlan(self._report.program, name, category, fn))
             if not _plan_executes():
                 return ObligationResult(name, category, True, [], 0.0)
-        selected = obligation_filter()
-        if selected is not None and category not in selected:
-            # Out-of-group obligation under a work-unit filter: neither
-            # executed nor recorded — another unit owns it.  The dummy
-            # result is returned (not appended) for signature parity.
-            return ObligationResult(name, category, True, [], 0.0)
-        names = obligation_name_filter()
-        if names is not None and name not in names:
-            # Fresh-by-fingerprint obligation under an incremental unit:
-            # its cached result is spliced back in by the engine.
+        options = current_options()
+        if (options.groups is not None and category not in options.groups) or (
+            options.names is not None and name not in options.names
+        ):
+            # Filtered out: another unit owns it (group filter), or its
+            # cached result is spliced back in by the engine (name
+            # filter).  Neither executed nor recorded; the dummy result
+            # is returned (not appended) for signature parity.
             return ObligationResult(name, category, True, [], 0.0)
         scope: list[str] = []
         stack = _skip_stack()
@@ -581,15 +491,16 @@ def check_triple(
     progress-free act/env lassos land in ``ExplorationResult.cycles``
     and are recorded as replayable witnesses, but never become issues —
     safety verdicts are unchanged by construction.  ``None`` defers to
-    :func:`liveness_default` (``REPRO_LIVENESS``), off unless the
-    process opted in.
+    the installed :class:`VerifyOptions` (off unless a sweep opted in),
+    whose ``cap_scale`` also scales ``max_configs``.
     """
     # Imported here to break the core <-> semantics import cycle.
     from ..semantics.explore import explore
     from ..semantics.interp import initial_config
 
-    use_liveness = liveness_default() if liveness is None else liveness
-    cap_scale = explore_cap_scale()
+    options = current_options()
+    use_liveness = options.liveness if liveness is None else liveness
+    cap_scale = options.cap_scale
     if cap_scale < 1.0:
         # Watchdog degradation rung 2: shrink the state budget rather
         # than let the kernel OOM-killer end the sweep.  The floor keeps

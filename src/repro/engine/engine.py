@@ -54,8 +54,7 @@ import multiprocessing
 import os
 import time
 import traceback
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence
 
 from pathlib import Path
@@ -63,13 +62,10 @@ from pathlib import Path
 from ..core.verify import (
     CATEGORIES,
     VerificationReport,
+    VerifyOptions,
     collecting_obligations,
     get_prepass,
-    liveness_default,
-    set_explore_cap_scale,
-    set_liveness_default,
-    set_obligation_filter,
-    set_obligation_name_filter,
+    options_installed,
     set_prepass,
 )
 from ..obs import tracer as obs_tracer
@@ -79,7 +75,7 @@ from .depgraph import DepGraph, build_depgraph
 from .faults import FaultPlan, maybe_inject, plan_installed
 from .fingerprint import program_fingerprint
 from .journal import SweepJournal, journal_path, load_image
-from .queue import UnitRecord, WorkUnit, decompose, merge_program, unit_mode, units_for
+from .queue import UnitRecord, WorkUnit, merge_program, unit_mode, units_for
 from .supervisor import (
     INFRA_STATUSES,
     SupervisorConfig,
@@ -351,87 +347,81 @@ def _uninstall_worker_prepass() -> None:
     set_prepass(None)
 
 
-@contextmanager
-def _liveness_installed(flag: bool):
-    """Make ``flag`` the process liveness default for a sweep's duration.
+class _UnitWorker:
+    """The callable every dispatch path runs a work unit with.
 
-    ``set_liveness_default`` mirrors the flag into ``REPRO_LIVENESS``, so
-    pool workers pick it up under *any* multiprocessing start method:
-    fork children inherit the module global directly, spawn children
-    re-read the environment.  The previous default is restored on exit
-    so sweeps never leak their setting into the caller's process."""
-    previous = liveness_default()
-    set_liveness_default(flag)
-    try:
-        yield
-    finally:
-        set_liveness_default(previous)
-
-
-def _verify_one(task: Any, attempt: int = 1) -> dict[str, Any]:
-    """Run one work unit's verifier; returns a picklable payload.
-
-    ``task`` is a :class:`~repro.engine.queue.WorkUnit` (or, for
-    back-compat, a bare ``ProgramInfo``, treated as a whole-program
-    unit).  The payload is structured even on failure: a verifier that
-    raises yields ``{"status": "error", "error": {type, message,
-    traceback}}`` rather than a pickled exception, so the serial and
-    parallel paths report verifier bugs identically.  Injected faults
-    fire *before* the capture — a ``raise`` fault models a harness bug
-    escaping the worker, which the supervisor (not this function) must
-    absorb.  Program-named fault specs fire for every unit of the
-    program; unit-id-named specs (``Program::Group:kind``) target one
-    obligation group alone.
+    It carries the sweep-level :class:`~repro.core.verify.VerifyOptions`
+    (liveness, explorer cap scale); each unit adds its own obligation
+    filters (``WorkUnit.group`` / ``WorkUnit.names``).  A pool pickles
+    the callable with every dispatch, so the watchdog's rung-2 shrink —
+    which replaces ``options`` — reaches every unit dispatched after it,
+    in a pool worker and in-process alike.
     """
-    unit = task if isinstance(task, WorkUnit) else WorkUnit(task)
-    announce(unit.name)
-    maybe_inject(unit.program, attempt)
-    if unit.group is not None or unit.names is not None:
-        maybe_inject(unit.name, attempt)
-    if obs_tracer.local_session_needed():
-        # Pool worker under a tracing parent: collect a local trace and
-        # ship its (picklable) records home in the payload for ingestion.
-        with obs_tracer.tracing(mirror_env=False) as local:
-            payload = _verify_payload(unit)
-        payload["trace"] = list(local.records)
-        return payload
-    return _verify_payload(unit)
+
+    def __init__(self, options: VerifyOptions):
+        self.options = options
+
+    def __call__(self, unit: WorkUnit, attempt: int = 1) -> dict[str, Any]:
+        """Run one work unit's verifier; returns a picklable payload.
+
+        The payload is structured even on failure: a verifier that
+        raises yields ``{"status": "error", "error": {type, message,
+        traceback}}`` rather than a pickled exception, so the serial and
+        parallel paths report verifier bugs identically.  Injected faults
+        fire *before* the capture — a ``raise`` fault models a harness
+        bug escaping the worker, which the supervisor (not this method)
+        must absorb.  Program-named fault specs fire for every unit of
+        the program; unit-id-named specs (``Program::Group:kind``) target
+        one obligation group alone.
+        """
+        announce(unit.name)
+        maybe_inject(unit.program, attempt)
+        if unit.group is not None or unit.names is not None:
+            maybe_inject(unit.name, attempt)
+        options = replace(
+            self.options,
+            groups=frozenset((unit.group,)) if unit.group is not None else None,
+            names=unit.names,
+        )
+        if obs_tracer.local_session_needed():
+            # Pool worker under a tracing parent: collect a local trace and
+            # ship its (picklable) records home in the payload for ingestion.
+            with obs_tracer.tracing(mirror_env=False) as local:
+                payload = _verify_payload(unit, options)
+            payload["trace"] = list(local.records)
+            return payload
+        return _verify_payload(unit, options)
+
+    def prepassed(self, unit: WorkUnit, attempt: int = 1) -> dict[str, Any]:
+        """Degraded-serial worker: per-call pre-pass installation (the pool
+        initializer that normally does this never ran)."""
+        from ..analysis.prepass import static_prepass
+
+        with static_prepass():
+            return self(unit, attempt)
 
 
-def _verify_payload(unit: WorkUnit) -> dict[str, Any]:
+def _verify_payload(unit: WorkUnit, options: VerifyOptions) -> dict[str, Any]:
     info = unit.info
     started = time.perf_counter()
     collected: list | None = None
     try:
-        if unit.group is not None:
-            # Obligation-group unit: the verifier runs with the
-            # process-global filter restricted to this group, so only
-            # its obligations execute (and are recorded).  Always
-            # restored — pool workers are reused across units.
-            set_obligation_filter((unit.group,))
-            try:
+        # A group unit executes (and records) only its category's
+        # obligations; an incremental unit (fcsl-deps) only its stale
+        # ones — the fresh rest replay from their cached per-obligation
+        # fingerprints in the parent's merge.
+        with options_installed(options):
+            if unit.collect_deps:
+                # Cold incremental entry: record the obligation plan while
+                # the verifier runs for real, then walk the dependency
+                # cones right here — one setup pays for both the verdicts
+                # and the per-obligation fingerprint map the next run
+                # diffs against.
+                with collecting_obligations(execute=True) as collector:
+                    report = info.run_verifier()
+                collected = list(collector)
+            else:
                 report = info.run_verifier()
-            finally:
-                set_obligation_filter(None)
-        elif unit.names is not None:
-            # Incremental unit (fcsl-deps): only the stale obligations
-            # execute; the fresh ones replay from their cached
-            # per-obligation fingerprints in the parent's merge.
-            set_obligation_name_filter(unit.names)
-            try:
-                report = info.run_verifier()
-            finally:
-                set_obligation_name_filter(None)
-        elif unit.collect_deps:
-            # Cold incremental entry: record the obligation plan while
-            # the verifier runs for real, then walk the dependency cones
-            # right here — one setup pays for both the verdicts and the
-            # per-obligation fingerprint map the next run diffs against.
-            with collecting_obligations(execute=True) as collector:
-                report = info.run_verifier()
-            collected = list(collector)
-        else:
-            report = info.run_verifier()
     except Exception as exc:  # noqa: BLE001 - structured, not pickled
         payload: dict[str, Any] = {
             "status": "error",
@@ -468,15 +458,6 @@ def _verify_payload(unit: WorkUnit) -> dict[str, Any]:
     return payload
 
 
-def _verify_one_prepassed(task: Any, attempt: int = 1) -> dict[str, Any]:
-    """Degraded-serial worker: per-call pre-pass installation (the pool
-    initializer that normally does this never ran)."""
-    from ..analysis.prepass import static_prepass
-
-    with static_prepass():
-        return _verify_one(task, attempt)
-
-
 def default_jobs(pending: int) -> int:
     """One worker per pending case study, capped by the CPU count."""
     return max(1, min(pending, os.cpu_count() or 1))
@@ -485,6 +466,7 @@ def default_jobs(pending: int) -> int:
 def _serial_results(
     pending: Sequence[WorkUnit],
     *,
+    worker: _UnitWorker,
     prepass: bool,
     resident_prepass: Any = None,
     on_lease: Any = None,
@@ -538,7 +520,7 @@ def _serial_results(
                 except Exception:  # noqa: BLE001
                     pass
             try:
-                payload = _verify_one(unit)
+                payload = worker(unit)
             except KeyboardInterrupt:
                 interrupted = True
                 emit(
@@ -585,7 +567,7 @@ def _serial_results(
 
 
 def _pool_map_results(
-    pending: Sequence[WorkUnit], *, jobs: int, prepass: bool
+    pending: Sequence[WorkUnit], *, worker: _UnitWorker, jobs: int, prepass: bool
 ) -> dict[str, TaskResult]:
     """The unsupervised PR-2 path: a bare ``pool.map``.
 
@@ -599,7 +581,7 @@ def _pool_map_results(
             _install_worker_prepass if prepass else _uninstall_worker_prepass
         ),
     ) as pool:
-        payloads = pool.map(_verify_one, pending)
+        payloads = pool.map(worker, pending)
     return {
         unit.name: TaskResult(
             unit.name,
@@ -610,6 +592,532 @@ def _pool_map_results(
         )
         for unit, payload in zip(pending, payloads)
     }
+
+
+# -- the phases of one sweep ---------------------------------------------------
+
+
+@dataclass
+class _SweepState:
+    """What the phases of one :func:`sweep` share.
+
+    Each phase reads the fixed inputs and settles programs into
+    ``outcomes`` (a finished program) or units into ``unit_records``
+    (terminal per-unit state, journal-replayed or live); a program or
+    unit settled by one phase is skipped by the later ones.
+    """
+
+    programs: Sequence[ProgramInfo]
+    fingerprints: dict[str, str]
+    #: program -> its work units (incremental planning may replace them)
+    program_units: dict[str, list[WorkUnit]]
+    store: ObligationCache | None
+    journal: SweepJournal | None
+    split: bool
+    incremental: bool
+    tr: Any
+    unit_records: dict[str, UnitRecord] = field(default_factory=dict)
+    outcomes: dict[str, ProgramOutcome] = field(default_factory=dict)
+    inc_plans: dict[str, _IncrementalPlan] = field(default_factory=dict)
+    warnings: list[str] = field(default_factory=list)
+    #: Set by the watchdog's shrink rung: nothing more is cached.
+    stop_caching: bool = False
+
+    def replayed(self, info: ProgramInfo) -> bool:
+        """Whether the journal replayed any unit of ``info``."""
+        return info.name in self.unit_records or any(
+            u.name in self.unit_records for u in self.program_units[info.name]
+        )
+
+    def store_report(
+        self,
+        name: str,
+        report: VerificationReport,
+        meta: dict[str, Any],
+        obligations: dict[str, str] | None,
+    ) -> None:
+        """Cache ``report`` under the program's fingerprint; a failed
+        store is a warning, never sweep loss."""
+        if self.store is None or self.stop_caching:
+            return
+        try:
+            self.store.store(
+                name,
+                self.fingerprints[name],
+                report,
+                meta=meta,
+                obligations=obligations,
+            )
+        except Exception as exc:  # noqa: BLE001 - not sweep loss
+            self.warnings.append(
+                f"cache store failed for {name!r}: {type(exc).__name__}: {exc}"
+            )
+
+
+def _replay_journal(
+    state: _SweepState, jpath: Path, *, resume: bool, liveness: bool
+) -> None:
+    """On ``resume``, replay the verdict-bearing unit records of the
+    journal at ``jpath`` into ``state.unit_records`` — fingerprint-gated,
+    so an edited program re-runs fresh — then open the journal for this
+    run."""
+    image = load_image(jpath) if resume else None
+    if image is not None and not image.exists:
+        state.warnings.append(
+            f"resume requested but no usable journal at {jpath}; "
+            "running the full sweep"
+        )
+        image = None
+    if image is not None:
+        for info in state.programs:
+            fingerprint = state.fingerprints[info.name]
+            whole = image.replayable(info.name, info.name, fingerprint)
+            candidates: list[tuple[WorkUnit, dict[str, Any]]] = []
+            if whole is not None:
+                candidates.append((WorkUnit(info), whole))
+            elif state.split:
+                for unit in state.program_units[info.name]:
+                    rec = image.replayable(unit.name, info.name, fingerprint)
+                    if rec is not None:
+                        candidates.append((unit, rec))
+            for unit, rec in candidates:
+                payload = rec.get("payload")
+                if not isinstance(payload, dict) or "report" not in payload:
+                    continue
+                state.unit_records[unit.name] = UnitRecord(
+                    unit,
+                    "report",
+                    payload=payload,
+                    retries=int(rec.get("retries") or 0),
+                    seconds=float(rec.get("seconds") or 0.0),
+                    replayed=True,
+                )
+                if state.tr is not None:
+                    state.tr.instant("journal:replay", "journal", unit=unit.name)
+    if state.journal is not None:
+        state.journal.begin(
+            state.fingerprints,
+            [u.name for units in state.program_units.values() for u in units],
+            mode=unit_mode(state.split),
+            resume=image is not None,
+            flags={"split": state.split, "liveness": liveness},
+        )
+
+
+def _replay_cache(state: _SweepState) -> None:
+    """Replay every program the journal did not cover whose whole-program
+    fingerprint hits the obligation cache."""
+    store, tr, sj = state.store, state.tr, state.journal
+    for info in state.programs:
+        if store is None or state.replayed(info):
+            continue
+        fingerprint = state.fingerprints[info.name]
+        t0 = time.perf_counter()
+        hit, cache_warning = store.load_verified(info.name, fingerprint)
+        if cache_warning:
+            state.warnings.append(cache_warning)
+        if hit is None:
+            if tr is not None:
+                tr.instant("cache:miss", "cache", program=info.name)
+            continue
+        if tr is not None:
+            tr.instant("cache:hit", "cache", program=info.name)
+        elapsed = time.perf_counter() - t0
+        state.outcomes[info.name] = ProgramOutcome(
+            info.name,
+            hit,
+            fingerprint,
+            True,
+            elapsed,
+            status="ok" if hit.ok else "failed",
+            units=len(state.program_units[info.name]),
+        )
+        if sj is not None:
+            # Journal the replayed verdict too: resume must not depend on
+            # the cache entry still being intact.
+            sj.unit_done(
+                info.name, info.name, None, "report",
+                payload={"report": hit.to_dict()},
+                seconds=elapsed, via="cache",
+            )
+        if state.incremental and store.load_incremental(info.name) is None:
+            # The hit entry predates per-obligation fingerprints (stored
+            # by a non-incremental sweep): backfill the map now —
+            # analysis only, no re-verification — so the *next* edit
+            # re-verifies incrementally.
+            try:
+                graph = build_depgraph(info)
+            except Exception:  # noqa: BLE001 - best-effort backfill
+                graph = None
+            if graph is not None:
+                state.store_report(
+                    info.name,
+                    hit,
+                    {"seconds": elapsed, "incremental": True},
+                    graph.fingerprints,
+                )
+
+
+def _plan_incremental(state: _SweepState) -> None:
+    """fcsl-deps: for each program still pending with a *prior*
+    incremental entry, build its dependency graph and compare
+    per-obligation fingerprints — fresh obligations replay, stale ones
+    become one incremental work unit.  Cold entries skip parent-side
+    analysis entirely: their work unit collects the plan while it
+    verifies and ships the fingerprint map home in its payload, so a
+    cold incremental sweep costs one verifier setup, not two."""
+    tr = state.tr
+    for info in state.programs:
+        if info.name in state.outcomes or state.replayed(info):
+            continue
+        entry = state.store.load_incremental(info.name)
+        if entry is None:
+            # Cold entry: full verify, the unit walks the cones.
+            state.program_units[info.name] = [WorkUnit(info, collect_deps=True)]
+            continue
+        t0 = time.perf_counter()
+        try:
+            graph = build_depgraph(info)
+        except Exception as exc:  # noqa: BLE001 - analysis trouble
+            # must never cost a verdict: fall back to full verify.
+            state.warnings.append(
+                f"dependency analysis failed for {info.name!r} "
+                f"({type(exc).__name__}: {exc}); verifying fully"
+            )
+            state.program_units[info.name] = [WorkUnit(info, collect_deps=True)]
+            continue
+        if graph is None:
+            state.warnings.append(
+                f"per-obligation fingerprints unusable for "
+                f"{info.name!r} (see `repro deps`); verifying fully"
+            )
+            continue
+        cached_report, cached_fps = entry
+        cached_results = {o.name: o for o in cached_report.obligations}
+        order = [dep.name for dep in graph.analysis.obligations]
+        stale = graph.stale_obligations(cached_fps)
+        # A fresh fingerprint without a cached result to replay (e.g. a
+        # previously-filtered sweep) must still re-run.
+        stale.update(
+            name for name in order
+            if name not in stale and name not in cached_results
+        )
+        if tr is not None:
+            tr.instant(
+                "deps:plan", "deps", program=info.name,
+                stale=len(stale), total=len(order),
+            )
+        if stale:
+            state.inc_plans[info.name] = _IncrementalPlan(
+                graph=graph, order=order, stale=stale, cached=cached_results
+            )
+            state.program_units[info.name] = [
+                WorkUnit(info, names=frozenset(stale))
+            ]
+            continue
+        merged = VerificationReport(info.name)
+        merged.obligations.extend(cached_results[name] for name in order)
+        elapsed = time.perf_counter() - t0
+        state.outcomes[info.name] = ProgramOutcome(
+            info.name,
+            merged,
+            state.fingerprints[info.name],
+            True,
+            elapsed,
+            status="ok" if merged.ok else "failed",
+            units=len(state.program_units[info.name]),
+            reverified=0,
+        )
+        # Refresh the entry under the new program fingerprint so the
+        # next run is a plain hit.
+        state.store_report(
+            info.name,
+            merged,
+            {"seconds": elapsed, "incremental": True},
+            graph.fingerprints,
+        )
+        if state.journal is not None:
+            state.journal.unit_done(
+                info.name, info.name, None, "report",
+                payload={"report": merged.to_dict()},
+                seconds=elapsed, via="incremental",
+            )
+
+
+def _watchdog(
+    state: _SweepState,
+    worker: _UnitWorker,
+    max_rss_mb: float | None,
+    max_disk_mb: float | None,
+    disk_root: Path,
+) -> ResourceWatchdog | None:
+    """The resource watchdog for the given budgets (``None`` = none).
+    Its shrink rung halves the explorer caps of every unit dispatched
+    after it and stops cache stores."""
+    if not (max_rss_mb or max_disk_mb):
+        return None
+
+    def on_level(level: int, reason: str) -> None:
+        state.warnings.append(
+            f"watchdog rung {level} ({LEVEL_NAMES[level]}): {reason}"
+        )
+        if level >= 2:
+            state.stop_caching = True
+            worker.options = replace(worker.options, cap_scale=0.5)
+
+    return ResourceWatchdog(
+        max_rss_bytes=int(max_rss_mb * 2**20) if max_rss_mb else None,
+        max_disk_bytes=int(max_disk_mb * 2**20) if max_disk_mb else None,
+        disk_root=disk_root,
+        on_level=on_level,
+    )
+
+
+def _execute(
+    state: _SweepState,
+    worker: _UnitWorker,
+    *,
+    jobs: int | None,
+    prepass: bool,
+    resident_prepass: Any,
+    supervised: bool,
+    timeout: float | None,
+    retries: int,
+    backoff: float,
+    watchdog: ResourceWatchdog | None,
+    on_lease: Any,
+    on_result: Any,
+) -> tuple[int, bool, bool]:
+    """Dispatch every unit no earlier phase settled and record each
+    one's terminal state, journaling it the moment it completes.
+    Returns ``(jobs, degraded, interrupted)``."""
+    pending_units: list[WorkUnit] = []
+    for info in state.programs:
+        if info.name in state.outcomes or info.name in state.unit_records:
+            continue
+        pending_units.extend(
+            u for u in state.program_units[info.name]
+            if u.name not in state.unit_records
+        )
+    units_by_name = {u.name: u for u in pending_units}
+    sj = state.journal
+
+    jobs = default_jobs(len(pending_units)) if jobs is None else max(1, jobs)
+    jobs = min(jobs, len(pending_units)) if pending_units else 1
+
+    def _journal_lease(name: str, attempt: int, lease: float | None) -> None:
+        unit = units_by_name.get(name)
+        if sj is not None and unit is not None:
+            sj.unit_leased(
+                name, unit.program, attempt=attempt, lease_seconds=lease
+            )
+        if on_lease is not None:
+            try:
+                on_lease(name, attempt, lease)
+            except Exception:  # noqa: BLE001 - progress taps never stall units
+                pass
+
+    def _journal_result(result: TaskResult) -> None:
+        if on_result is not None:
+            try:
+                on_result(result)
+            except Exception:  # noqa: BLE001 - progress taps never stall units
+                pass
+        unit = units_by_name.get(result.name)
+        if sj is None or unit is None:
+            return
+        payload = None
+        if result.status == "report" and result.payload is not None:
+            payload = {"report": result.payload.get("report")}
+            shipped = result.payload.get("obligations")
+            if shipped is not None:
+                # Collect-while-verifying units journal their
+                # fingerprint map too, so --resume stores it.
+                payload["obligations"] = shipped
+        sj.unit_done(
+            result.name, unit.program, unit.group, result.status,
+            payload=payload, error=result.error, retries=result.retries,
+            seconds=(result.payload or {}).get("seconds", result.seconds),
+        )
+
+    degraded = interrupted = False
+    should_stop = watchdog.stop_reason if watchdog is not None else None
+    try:
+        if pending_units:
+            if watchdog is not None:
+                watchdog.start()
+            if jobs == 1:
+                results, interrupted = _serial_results(
+                    pending_units,
+                    worker=worker,
+                    prepass=prepass,
+                    resident_prepass=resident_prepass,
+                    on_lease=_journal_lease,
+                    on_result=_journal_result,
+                    should_stop=should_stop,
+                )
+            elif not supervised:
+                results = _pool_map_results(
+                    pending_units, worker=worker, jobs=jobs, prepass=prepass
+                )
+            else:
+                outcome = supervise(
+                    pending_units,
+                    worker=worker,
+                    config=SupervisorConfig(
+                        jobs=jobs,
+                        timeout=timeout,
+                        retries=retries,
+                        backoff=backoff,
+                        throttle=(
+                            watchdog.throttle(jobs)
+                            if watchdog is not None else None
+                        ),
+                        should_stop=should_stop,
+                    ),
+                    initializer=(
+                        _install_worker_prepass
+                        if prepass
+                        else _uninstall_worker_prepass
+                    ),
+                    serial_worker=worker.prepassed if prepass else worker,
+                    on_lease=_journal_lease,
+                    on_result=_journal_result,
+                )
+                results = outcome.results
+                degraded = outcome.degraded
+                interrupted = outcome.interrupted
+                state.warnings.extend(outcome.warnings)
+
+            journaled_live = supervised or jobs == 1
+            for unit in pending_units:
+                result = results.get(unit.name)
+                if result is None:  # defensive: everyone gets an answer
+                    state.unit_records[unit.name] = UnitRecord(unit, "crashed")
+                    continue
+                if state.tr is not None and result.payload:
+                    # A pool worker's locally-collected trace rides home
+                    # in the payload; in-process runs traced directly.
+                    state.tr.ingest(result.payload.get("trace") or [])
+                if not journaled_live:
+                    _journal_result(result)
+                state.unit_records[unit.name] = UnitRecord(
+                    unit,
+                    result.status,
+                    payload=result.payload,
+                    error=result.error,
+                    retries=result.retries,
+                    seconds=(result.payload or {}).get("seconds", result.seconds),
+                )
+    finally:
+        if watchdog is not None:
+            watchdog.stop()
+    if watchdog is not None:
+        degraded = degraded or watchdog.degraded
+        interrupted = interrupted or watchdog.stop_reason() is not None
+    return jobs, degraded, interrupted
+
+
+def _splice_incremental(
+    info: ProgramInfo, record: UnitRecord, plan: _IncrementalPlan
+) -> tuple[UnitRecord, int | None]:
+    """Splice an incremental unit's fresh verdicts and the entry's cached
+    verdicts back into plan order; returns the whole-program record and
+    how many obligations were re-verified.  A stale obligation the unit
+    did not report (the plan drifted between analysis and execution)
+    voids the splice — an infra quarantine, never a partial verdict."""
+    partial = VerificationReport.from_dict(record.payload["report"])
+    fresh_results = {o.name: o for o in partial.obligations}
+    missing = [name for name in plan.stale if name not in fresh_results]
+    if missing:
+        error = {
+            "type": "IncrementalMergeError",
+            "message": (
+                "incremental unit produced no verdict for "
+                f"stale obligation(s) {sorted(missing)}"
+            ),
+            "traceback": "",
+        }
+        return UnitRecord(
+            record.unit, "error", error=error,
+            retries=record.retries, seconds=record.seconds,
+        ), None
+    merged = VerificationReport(info.name)
+    merged.obligations.extend(
+        fresh_results[name] if name in plan.stale else plan.cached[name]
+        for name in plan.order
+    )
+    return UnitRecord(
+        record.unit,
+        "report",
+        payload={"report": merged.to_dict()},
+        retries=record.retries,
+        seconds=record.seconds,
+        replayed=record.replayed,
+    ), len(plan.stale)
+
+
+def _merge(state: _SweepState, jobs: int) -> None:
+    """Fold every unsettled program's unit records back into one
+    outcome, and cache each verdict that came out."""
+    for info in state.programs:
+        if info.name in state.outcomes:
+            continue
+        inc_plan = state.inc_plans.get(info.name)
+        reverified: int | None = None
+        whole = state.unit_records.get(info.name)
+        if whole is not None and whole.unit.group is None:
+            records = [whole]
+        else:
+            records = [
+                state.unit_records.get(u.name) or UnitRecord(u, "crashed")
+                for u in state.program_units[info.name]
+            ]
+        if inc_plan is not None and records[0].status == "report":
+            record, reverified = _splice_incremental(info, records[0], inc_plan)
+            records = [record]
+        merge = merge_program(info, records)
+        outcome = state.outcomes[info.name] = ProgramOutcome(
+            info.name,
+            merge.report,
+            state.fingerprints[info.name],
+            False,
+            merge.seconds,
+            status=merge.status,
+            retries=merge.retries,
+            error=merge.error,
+            units=merge.units,
+            replayed_units=merge.replayed_units,
+            reverified=reverified if merge.report is not None else None,
+        )
+        if merge.report is None or state.store is None or state.stop_caching:
+            continue
+        obligation_fps = inc_plan.graph.fingerprints if inc_plan else None
+        if obligation_fps is None and state.incremental:
+            # Cold-entry full run: the collect-while-verifying unit
+            # walked the cones in the worker and shipped the fingerprint
+            # map home in its payload.
+            for record in records:
+                shipped = (record.payload or {}).get("obligations")
+                if shipped:
+                    obligation_fps = dict(shipped)
+                    break
+        if state.incremental and reverified is None:
+            # Full run under --incremental: every obligation executed
+            # (and the stored map, when the walk succeeded, arms the
+            # next run's incremental replay).
+            outcome.reverified = len(merge.report.obligations)
+        state.store_report(
+            info.name,
+            merge.report,
+            {
+                "seconds": merge.seconds,
+                "jobs": jobs,
+                "retries": merge.retries,
+                "units": merge.units,
+            },
+            obligation_fps,
+        )
 
 
 def sweep(
@@ -638,59 +1146,46 @@ def sweep(
     """Verify ``programs``, replaying cached verdicts and fanning the rest
     out over ``jobs`` supervised worker processes (``None`` = one per
     case study, capped by CPU count; ``1`` = serial in-process, no pool).
+    The phases, in order: journal replay, cache replay, incremental
+    planning, execute, merge.
 
-    ``liveness`` installs the bounded livelock detector as the process
-    default for the sweep (pool workers inherit it): progress-free
-    lassos are recorded as witnesses on the obligations that found them,
-    but never become issues, so verdicts (and cached reports) are
-    unaffected.
-
-    ``timeout`` bounds each program's wall clock per attempt (pool path
-    only); ``retries`` re-dispatches crashed/timed-out/raised programs
-    with exponential ``backoff``.  ``faults`` installs a deterministic
-    :class:`~repro.engine.faults.FaultPlan` (or its string spec) for the
-    duration of the sweep — the chaos harness.  ``supervised=False``
+    ``liveness`` arms the bounded livelock detector in every unit (it
+    travels with the worker callable, see :class:`_UnitWorker`): lassos
+    become witnesses, never issues, so verdicts and cached reports are
+    unaffected.  ``timeout`` bounds each unit's wall clock per attempt
+    (pool path only); ``retries`` re-dispatches crashed/timed-out/raised
+    units with exponential ``backoff``.  ``faults`` installs a
+    deterministic :class:`~repro.engine.faults.FaultPlan` (or its string
+    spec) for the sweep — the chaos harness.  ``supervised=False``
     selects the bare ``pool.map`` baseline (benchmarking only).
 
     ``journal`` (default on) records every unit's lifecycle in the
     durable sweep journal; ``resume=True`` first replays verdict-bearing
-    unit records from that journal — fingerprint-gated, so an edited
-    program re-runs fresh — and executes only what remains.
-    ``split_obligations`` decomposes each program into per-obligation-
-    category work units (see :mod:`repro.engine.queue`): timeout/retry/
-    quarantine and journal replay then apply per group, and the partial
-    reports are merged back per program.
+    unit records from it — fingerprint-gated, so an edited program
+    re-runs fresh.  ``split_obligations`` decomposes each program into
+    per-obligation-category work units (see :mod:`repro.engine.queue`)
+    whose partial reports are merged back per program.
 
     ``incremental`` (fcsl-deps, ``repro verify --incremental``) keys
     replay per *obligation*: a program whose whole-program fingerprint
-    misses has its dependency graph built
-    (:func:`repro.engine.depgraph.build_depgraph`) and compared against
-    the per-obligation fingerprints stored in its cache entry — only
-    obligations whose dependency cone contains the edit re-execute, the
-    rest replay from the entry.  Every fall-back (no entry, unusable
-    analysis, pre-v4 entry) degrades to the full verification the flag
-    would have run anyway; verdicts are gated for equality with a cold
-    run by tests/test_incremental.py.  Requires the cache and is
-    mutually exclusive with ``split_obligations``.  ``max_rss_mb``/``max_disk_mb``
-    arm the resource watchdog (soft budgets, MiB): at 70% parallelism is
-    shed, at 85% explorer caps shrink (new cache stores stop, the sweep
-    is marked degraded), at 100% the sweep checkpoints — pending units
-    are marked ``interrupted``, exit code 3, resumable.  The cap shrink
-    is process-global and env-mirrored; already-forked pool workers keep
-    their caps, so it is best-effort for work already in flight.
+    misses has its dependency graph compared against the per-obligation
+    fingerprints of its cache entry, and only obligations whose cone
+    contains the edit re-execute.  Every fall-back degrades to the full
+    verification; tests/test_incremental.py gates equality with a cold
+    run.  It needs the cache and excludes ``split_obligations``.
+
+    ``max_rss_mb``/``max_disk_mb`` arm the resource watchdog (soft
+    budgets, MiB): at 70% parallelism is shed; at 85% explorer caps
+    shrink for every unit dispatched after it, cache stores stop and the
+    sweep is marked degraded; at 100% the sweep checkpoints — pending
+    units are ``interrupted``, exit code 3, resumable.
 
     ``on_lease(unit_name, attempt, lease_seconds)`` and
-    ``on_result(TaskResult)`` are caller-side progress taps layered on
-    top of the journaling callbacks (best-effort: a raising callback is
-    swallowed, never the sweep) — the serve daemon streams them to its
-    clients as progress events.  ``resident_prepass`` installs a
-    caller-owned prepass on the ``jobs == 1`` path so static facts stay
-    warm across sweeps (see :func:`_serial_results`); it is ignored on
-    the pool path, where each worker owns its own prepass.
-
-    The sweep always returns an outcome for every requested program:
-    infrastructure faults quarantine a program (``status`` records what
-    happened) instead of killing the run.
+    ``on_result(TaskResult)`` are best-effort progress taps (the serve
+    daemon streams them to its clients).  ``resident_prepass`` is a
+    caller-owned prepass for the ``jobs == 1`` path (see
+    :func:`_serial_results`).  Every requested program gets an outcome:
+    infrastructure faults quarantine a program instead of killing the run.
     """
     started = time.perf_counter()
     tr = obs_tracer.current()
@@ -708,520 +1203,51 @@ def sweep(
             "incremental re-verification needs the obligation cache "
             "(it replays fresh obligations from it); drop --no-cache"
         )
-    program_units = {info.name: units_for(info, split=split) for info in programs}
-
-    outcomes: dict[str, ProgramOutcome] = {}
-    fingerprints: dict[str, str] = {
-        info.name: program_fingerprint(info) for info in programs
-    }
-    # Terminal per-unit state, keyed by unit id (journal replay + live).
-    unit_records: dict[str, UnitRecord] = {}
-    degraded = False
-    interrupted = False
-    stop_caching = False
-    warnings: list[str] = []
     jpath = journal_path(cache_root)
-
-    def _on_level(level: int, reason: str) -> None:
-        nonlocal stop_caching
-        warnings.append(f"watchdog rung {level} ({LEVEL_NAMES[level]}): {reason}")
-        if level >= 2:
-            stop_caching = True
-            set_explore_cap_scale(0.5)
-
-    watchdog: ResourceWatchdog | None = None
-    if max_rss_mb or max_disk_mb:
-        watchdog = ResourceWatchdog(
-            max_rss_bytes=int(max_rss_mb * 2**20) if max_rss_mb else None,
-            max_disk_bytes=int(max_disk_mb * 2**20) if max_disk_mb else None,
-            disk_root=cache_root,
-            on_level=_on_level,
-        )
+    state = _SweepState(
+        programs=programs,
+        fingerprints={info.name: program_fingerprint(info) for info in programs},
+        program_units={info.name: units_for(info, split=split) for info in programs},
+        store=store,
+        journal=SweepJournal(jpath) if journal else None,
+        split=split,
+        incremental=incremental,
+        tr=tr,
+    )
+    sj = state.journal
+    worker = _UnitWorker(VerifyOptions(liveness=liveness))
 
     # The plan stays installed for the whole body: cache stores, journal
     # appends and the workers all have injectable fault sites.
     with plan_installed(plan):
-        sj = SweepJournal(jpath) if journal else None
-
-        # -- phase 1: journal replay (resume) ----------------------------------
-        image = None
-        if resume:
-            image = load_image(jpath)
-            if not image.exists:
-                warnings.append(
-                    f"resume requested but no usable journal at {jpath}; "
-                    "running the full sweep"
-                )
-                image = None
-        if image is not None:
-            for info in programs:
-                fingerprint = fingerprints[info.name]
-                whole = image.replayable(info.name, info.name, fingerprint)
-                candidates: list[tuple[WorkUnit, dict[str, Any]]] = []
-                if whole is not None:
-                    candidates.append((WorkUnit(info), whole))
-                elif split:
-                    for unit in program_units[info.name]:
-                        rec = image.replayable(unit.name, info.name, fingerprint)
-                        if rec is not None:
-                            candidates.append((unit, rec))
-                for unit, rec in candidates:
-                    payload = rec.get("payload")
-                    if not isinstance(payload, dict) or "report" not in payload:
-                        continue
-                    unit_records[unit.name] = UnitRecord(
-                        unit,
-                        "report",
-                        payload=payload,
-                        retries=int(rec.get("retries") or 0),
-                        seconds=float(rec.get("seconds") or 0.0),
-                        replayed=True,
-                    )
-                    if tr is not None:
-                        tr.instant("journal:replay", "journal", unit=unit.name)
-
-        # -- phase 2: open the journal for this run ----------------------------
-        if sj is not None:
-            sj.begin(
-                fingerprints,
-                [u.name for units in program_units.values() for u in units],
-                mode=unit_mode(split),
-                resume=image is not None,
-                flags={"split": split, "liveness": liveness},
-            )
-
-        # -- phase 3: obligation-cache replay ----------------------------------
-        for info in programs:
-            covered = info.name in unit_records or any(
-                u.name in unit_records for u in program_units[info.name]
-            )
-            if covered or store is None:
-                continue
-            fingerprint = fingerprints[info.name]
-            t0 = time.perf_counter()
-            hit, cache_warning = store.load_verified(info.name, fingerprint)
-            if cache_warning:
-                warnings.append(cache_warning)
-            if hit is not None:
-                if tr is not None:
-                    tr.instant("cache:hit", "cache", program=info.name)
-                elapsed = time.perf_counter() - t0
-                outcomes[info.name] = ProgramOutcome(
-                    info.name,
-                    hit,
-                    fingerprint,
-                    True,
-                    elapsed,
-                    status="ok" if hit.ok else "failed",
-                    units=len(program_units[info.name]),
-                )
-                if sj is not None:
-                    # Journal the replayed verdict too: resume must not
-                    # depend on the cache entry still being intact.
-                    sj.unit_done(
-                        info.name, info.name, None, "report",
-                        payload={"report": hit.to_dict()},
-                        seconds=elapsed, via="cache",
-                    )
-                if incremental and store.load_incremental(info.name) is None:
-                    # The hit entry predates per-obligation fingerprints
-                    # (stored by a non-incremental sweep): backfill the
-                    # map now — analysis only, no re-verification — so
-                    # the *next* edit re-verifies incrementally.
-                    try:
-                        graph = build_depgraph(info)
-                    except Exception:  # noqa: BLE001 - best-effort backfill
-                        graph = None
-                    if graph is not None:
-                        try:
-                            store.store(
-                                info.name,
-                                fingerprint,
-                                hit,
-                                meta={"seconds": elapsed, "incremental": True},
-                                obligations=graph.fingerprints,
-                            )
-                        except Exception as exc:  # noqa: BLE001
-                            warnings.append(
-                                f"cache store failed for {info.name!r}: "
-                                f"{type(exc).__name__}: {exc}"
-                            )
-                continue
-            if tr is not None:
-                tr.instant("cache:miss", "cache", program=info.name)
-
-        # -- phase 3b: incremental planning (fcsl-deps) ------------------------
-        # For each program still pending with a *prior* incremental
-        # entry, build its dependency graph and compare per-obligation
-        # fingerprints: fresh obligations replay, stale ones become one
-        # incremental work unit.  Cold entries skip parent-side analysis
-        # entirely — their work unit collects the plan while it
-        # verifies and ships the fingerprint map home in its payload,
-        # so a cold incremental sweep costs one verifier setup, not two.
-        inc_graphs: dict[str, DepGraph] = {}
-        inc_plans: dict[str, _IncrementalPlan] = {}
+        _replay_journal(state, jpath, resume=resume, liveness=liveness)
+        _replay_cache(state)
         if incremental:
-            for info in programs:
-                if info.name in outcomes:
-                    continue
-                if info.name in unit_records or any(
-                    u.name in unit_records for u in program_units[info.name]
-                ):
-                    continue
-                entry = store.load_incremental(info.name)
-                if entry is None:
-                    # Cold entry: full verify, the unit walks the cones.
-                    program_units[info.name] = [
-                        WorkUnit(info, collect_deps=True)
-                    ]
-                    continue
-                t0 = time.perf_counter()
-                try:
-                    graph = build_depgraph(info)
-                except Exception as exc:  # noqa: BLE001 - analysis trouble
-                    # must never cost a verdict: fall back to full verify.
-                    warnings.append(
-                        f"dependency analysis failed for {info.name!r} "
-                        f"({type(exc).__name__}: {exc}); verifying fully"
-                    )
-                    program_units[info.name] = [
-                        WorkUnit(info, collect_deps=True)
-                    ]
-                    continue
-                if graph is None:
-                    warnings.append(
-                        f"per-obligation fingerprints unusable for "
-                        f"{info.name!r} (see `repro deps`); verifying fully"
-                    )
-                    continue
-                inc_graphs[info.name] = graph
-                cached_report, cached_fps = entry
-                cached_results = {o.name: o for o in cached_report.obligations}
-                order = [dep.name for dep in graph.analysis.obligations]
-                stale = graph.stale_obligations(cached_fps)
-                # A fresh fingerprint without a cached result to replay
-                # (e.g. a previously-filtered sweep) must still re-run.
-                stale.update(
-                    name for name in order
-                    if name not in stale and name not in cached_results
-                )
-                if tr is not None:
-                    tr.instant(
-                        "deps:plan", "deps", program=info.name,
-                        stale=len(stale), total=len(order),
-                    )
-                if not stale:
-                    merged = VerificationReport(info.name)
-                    merged.obligations.extend(
-                        cached_results[name] for name in order
-                    )
-                    elapsed = time.perf_counter() - t0
-                    outcomes[info.name] = ProgramOutcome(
-                        info.name,
-                        merged,
-                        fingerprints[info.name],
-                        True,
-                        elapsed,
-                        status="ok" if merged.ok else "failed",
-                        units=len(program_units[info.name]),
-                        reverified=0,
-                    )
-                    if store is not None and not stop_caching:
-                        try:
-                            # Refresh the entry under the new program
-                            # fingerprint so the next run is a plain hit.
-                            store.store(
-                                info.name,
-                                fingerprints[info.name],
-                                merged,
-                                meta={"seconds": elapsed, "incremental": True},
-                                obligations=graph.fingerprints,
-                            )
-                        except Exception as exc:  # noqa: BLE001
-                            warnings.append(
-                                f"cache store failed for {info.name!r}: "
-                                f"{type(exc).__name__}: {exc}"
-                            )
-                    if sj is not None:
-                        sj.unit_done(
-                            info.name, info.name, None, "report",
-                            payload={"report": merged.to_dict()},
-                            seconds=elapsed, via="incremental",
-                        )
-                    continue
-                inc_plans[info.name] = _IncrementalPlan(
-                    graph=graph,
-                    order=order,
-                    stale=stale,
-                    cached=cached_results,
-                )
-                program_units[info.name] = [
-                    WorkUnit(info, names=frozenset(stale))
-                ]
-
-        # -- phase 4: dispatch what remains ------------------------------------
-        pending_units: list[WorkUnit] = []
-        for info in programs:
-            if info.name in outcomes or info.name in unit_records:
-                continue
-            pending_units.extend(
-                u for u in program_units[info.name]
-                if u.name not in unit_records
-            )
-        units_by_name = {u.name: u for u in pending_units}
-
-        jobs = default_jobs(len(pending_units)) if jobs is None else max(1, jobs)
-        jobs = min(jobs, len(pending_units)) if pending_units else 1
-
-        def _journal_lease(name: str, attempt: int, lease: float | None) -> None:
-            unit = units_by_name.get(name)
-            if sj is not None and unit is not None:
-                sj.unit_leased(
-                    name, unit.program, attempt=attempt, lease_seconds=lease
-                )
-            if on_lease is not None:
-                try:
-                    on_lease(name, attempt, lease)
-                except Exception:  # noqa: BLE001 - progress taps never stall units
-                    pass
-
-        def _journal_result(result: TaskResult) -> None:
-            if on_result is not None:
-                try:
-                    on_result(result)
-                except Exception:  # noqa: BLE001 - progress taps never stall units
-                    pass
-            unit = units_by_name.get(result.name)
-            if sj is None or unit is None:
-                return
-            payload = None
-            if result.status == "report" and result.payload is not None:
-                payload = {"report": result.payload.get("report")}
-                shipped = result.payload.get("obligations")
-                if shipped is not None:
-                    # Collect-while-verifying units journal their
-                    # fingerprint map too, so --resume stores it.
-                    payload["obligations"] = shipped
-            sj.unit_done(
-                result.name, unit.program, unit.group, result.status,
-                payload=payload, error=result.error, retries=result.retries,
-                seconds=(result.payload or {}).get("seconds", result.seconds),
-            )
-
-        journaled_live = supervised or jobs == 1
-        try:
-            if pending_units:
-                if watchdog is not None:
-                    watchdog.start()
-                with _liveness_installed(liveness):
-                    if jobs == 1:
-                        results, interrupted = _serial_results(
-                            pending_units,
-                            prepass=prepass,
-                            resident_prepass=resident_prepass,
-                            on_lease=_journal_lease,
-                            on_result=_journal_result,
-                            should_stop=(
-                                watchdog.stop_reason
-                                if watchdog is not None else None
-                            ),
-                        )
-                    elif not supervised:
-                        results = _pool_map_results(
-                            pending_units, jobs=jobs, prepass=prepass
-                        )
-                    else:
-                        outcome = supervise(
-                            pending_units,
-                            worker=_verify_one,
-                            config=SupervisorConfig(
-                                jobs=jobs,
-                                timeout=timeout,
-                                retries=retries,
-                                backoff=backoff,
-                                throttle=(
-                                    watchdog.throttle(jobs)
-                                    if watchdog is not None else None
-                                ),
-                                should_stop=(
-                                    watchdog.stop_reason
-                                    if watchdog is not None else None
-                                ),
-                            ),
-                            initializer=(
-                                _install_worker_prepass
-                                if prepass
-                                else _uninstall_worker_prepass
-                            ),
-                            serial_worker=(
-                                _verify_one_prepassed if prepass else _verify_one
-                            ),
-                            on_lease=_journal_lease,
-                            on_result=_journal_result,
-                        )
-                        results = outcome.results
-                        degraded = outcome.degraded
-                        interrupted = outcome.interrupted
-                        warnings.extend(outcome.warnings)
-
-                    for unit in pending_units:
-                        result = results.get(unit.name)
-                        if result is None:  # defensive: everyone gets an answer
-                            unit_records[unit.name] = UnitRecord(unit, "crashed")
-                            continue
-                        if tr is not None and result.payload:
-                            # A pool worker's locally-collected trace rides
-                            # home in the payload; in-process runs traced
-                            # directly already.
-                            tr.ingest(result.payload.get("trace") or [])
-                        if not journaled_live:
-                            _journal_result(result)
-                        unit_records[unit.name] = UnitRecord(
-                            unit,
-                            result.status,
-                            payload=result.payload,
-                            error=result.error,
-                            retries=result.retries,
-                            seconds=(result.payload or {}).get(
-                                "seconds", result.seconds
-                            ),
-                        )
-        finally:
-            if watchdog is not None:
-                watchdog.stop()
-                set_explore_cap_scale(None)
-        if watchdog is not None:
-            degraded = degraded or watchdog.degraded
-            interrupted = interrupted or watchdog.stop_reason() is not None
-
-        # -- phase 5: merge units back into per-program outcomes ---------------
-        for info in programs:
-            if info.name in outcomes:
-                continue
-            fingerprint = fingerprints[info.name]
-            inc_plan = inc_plans.get(info.name)
-            reverified: int | None = None
-            whole = unit_records.get(info.name)
-            if whole is not None and whole.unit.group is None:
-                records = [whole]
-            else:
-                records = [
-                    unit_records.get(u.name) or UnitRecord(u, "crashed")
-                    for u in program_units[info.name]
-                ]
-            if inc_plan is not None and records[0].status == "report":
-                # Incremental merge: splice the unit's fresh verdicts and
-                # the entry's cached verdicts back into plan order.  A
-                # stale obligation the unit did not report (the plan
-                # drifted between analysis and execution) voids the
-                # splice — fall back to infra quarantine, never to a
-                # partial verdict.
-                record = records[0]
-                partial = VerificationReport.from_dict(
-                    record.payload["report"]
-                )
-                fresh_results = {o.name: o for o in partial.obligations}
-                missing = [
-                    name for name in inc_plan.stale
-                    if name not in fresh_results
-                ]
-                if missing:
-                    record = UnitRecord(
-                        record.unit,
-                        "error",
-                        error={
-                            "type": "IncrementalMergeError",
-                            "message": (
-                                "incremental unit produced no verdict for "
-                                f"stale obligation(s) {sorted(missing)}"
-                            ),
-                            "traceback": "",
-                        },
-                        retries=record.retries,
-                        seconds=record.seconds,
-                    )
-                    records = [record]
-                else:
-                    merged_report = VerificationReport(info.name)
-                    merged_report.obligations.extend(
-                        fresh_results[name]
-                        if name in inc_plan.stale
-                        else inc_plan.cached[name]
-                        for name in inc_plan.order
-                    )
-                    records = [
-                        UnitRecord(
-                            record.unit,
-                            "report",
-                            payload={"report": merged_report.to_dict()},
-                            retries=record.retries,
-                            seconds=record.seconds,
-                            replayed=record.replayed,
-                        )
-                    ]
-                    reverified = len(inc_plan.stale)
-            merge = merge_program(info, records)
-            outcomes[info.name] = ProgramOutcome(
-                info.name,
-                merge.report,
-                fingerprint,
-                False,
-                merge.seconds,
-                status=merge.status,
-                retries=merge.retries,
-                error=merge.error,
-                units=merge.units,
-                replayed_units=merge.replayed_units,
-                reverified=reverified if merge.report is not None else None,
-            )
-            if merge.report is not None and store is not None and not stop_caching:
-                inc_graph = inc_graphs.get(info.name)
-                obligation_fps = (
-                    inc_graph.fingerprints if inc_graph is not None else None
-                )
-                if obligation_fps is None and incremental:
-                    # Cold-entry full run: the collect-while-verifying
-                    # unit walked the cones in the worker and shipped
-                    # the fingerprint map home in its payload.
-                    for record in records:
-                        shipped = (record.payload or {}).get("obligations")
-                        if shipped:
-                            obligation_fps = dict(shipped)
-                            break
-                if incremental and reverified is None:
-                    # Full run under --incremental: every obligation
-                    # executed (and the stored map, when the walk
-                    # succeeded, arms the next run's incremental replay).
-                    outcomes[info.name].reverified = len(
-                        merge.report.obligations
-                    )
-                try:
-                    store.store(
-                        info.name,
-                        fingerprint,
-                        merge.report,
-                        meta={
-                            "seconds": merge.seconds,
-                            "jobs": jobs,
-                            "retries": merge.retries,
-                            "units": merge.units,
-                        },
-                        obligations=obligation_fps,
-                    )
-                except Exception as exc:  # noqa: BLE001 - not sweep loss
-                    warnings.append(
-                        f"cache store failed for {info.name!r}: "
-                        f"{type(exc).__name__}: {exc}"
-                    )
+            _plan_incremental(state)
+        jobs, degraded, interrupted = _execute(
+            state,
+            worker,
+            jobs=jobs,
+            prepass=prepass,
+            resident_prepass=resident_prepass,
+            supervised=supervised,
+            timeout=timeout,
+            retries=retries,
+            backoff=backoff,
+            watchdog=_watchdog(state, worker, max_rss_mb, max_disk_mb, cache_root),
+            on_lease=on_lease,
+            on_result=on_result,
+        )
+        _merge(state, jobs)
 
         result = SweepResult(
-            outcomes=[outcomes[info.name] for info in programs],
+            outcomes=[state.outcomes[info.name] for info in programs],
             jobs=jobs,
             seconds=time.perf_counter() - started,
             cache_dir=str(store.root) if store is not None else None,
             degraded=degraded,
             interrupted=interrupted,
-            warnings=warnings,
+            warnings=state.warnings,
             journal_path=str(jpath) if sj is not None else None,
         )
         if sj is not None:
@@ -1232,63 +1258,15 @@ def sweep(
                 )
     if tr is not None:
         tr.span(
-            "sweep",
-            "engine",
-            started * 1e6,
-            time.perf_counter() * 1e6,
-            programs=len(result.outcomes),
-            jobs=jobs,
-            cache_hits=result.hits,
-            replayed_units=result.replayed,
-            degraded=degraded,
+            "sweep", "engine", started * 1e6, time.perf_counter() * 1e6,
+            programs=len(result.outcomes), jobs=jobs, cache_hits=result.hits,
+            replayed_units=result.replayed, degraded=degraded,
             interrupted=interrupted,
         )
     return result
 
 
-def run_sweep(
-    names: Iterable[str] | None = None,
-    *,
-    jobs: int | None = None,
-    cache: bool = True,
-    cache_dir: str | os.PathLike | None = None,
-    prepass: bool = True,
-    liveness: bool = False,
-    timeout: float | None = None,
-    retries: int = 1,
-    backoff: float = 0.25,
-    faults: FaultPlan | str | None = None,
-    supervised: bool = True,
-    journal: bool = True,
-    resume: bool = False,
-    split_obligations: bool = False,
-    incremental: bool = False,
-    max_rss_mb: float | None = None,
-    max_disk_mb: float | None = None,
-    on_lease: Any = None,
-    on_result: Any = None,
-    resident_prepass: Any = None,
-) -> SweepResult:
-    """Name-based front door: resolve registry rows, then :func:`sweep`."""
-    return sweep(
-        resolve_programs(names),
-        jobs=jobs,
-        cache=cache,
-        cache_dir=cache_dir,
-        prepass=prepass,
-        liveness=liveness,
-        timeout=timeout,
-        retries=retries,
-        backoff=backoff,
-        faults=faults,
-        supervised=supervised,
-        journal=journal,
-        resume=resume,
-        split_obligations=split_obligations,
-        incremental=incremental,
-        max_rss_mb=max_rss_mb,
-        max_disk_mb=max_disk_mb,
-        on_lease=on_lease,
-        on_result=on_result,
-        resident_prepass=resident_prepass,
-    )
+def run_sweep(names: Iterable[str] | None = None, **kwargs: Any) -> SweepResult:
+    """Name-based front door: resolve registry rows, then :func:`sweep`
+    with the same keywords."""
+    return sweep(resolve_programs(names), **kwargs)

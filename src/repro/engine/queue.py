@@ -10,9 +10,9 @@ decomposition:
   exactly the pre-existing behaviour, unit id == program name.
 * In ``group`` mode (``repro verify --split-obligations``) each program
   fans out into one unit per obligation category (Libs/Conc/Acts/Stab/
-  Main).  A unit re-runs the verifier under the process-global
-  obligation filter (:func:`repro.core.verify.set_obligation_filter`),
-  so only its group's obligations execute; the engine merges the
+  Main).  A unit re-runs the verifier with its group installed as the
+  obligation filter (:class:`repro.core.verify.VerifyOptions`), so
+  only its group's obligations execute; the engine merges the
   partial reports back and the merged verdicts are gated for equality
   with the monolithic run.  The payoff is fault granularity: a
   pathological ``Main`` obligation times out and retries *alone*, its

@@ -14,8 +14,9 @@ rung   trigger (fraction of        action (wired by the engine)
 =====  ==========================  ==========================================
 1      usage ≥ ``SHED_AT`` (70%)   shed parallelism: the supervisor's
                                    in-flight window halves
-2      usage ≥ ``SHRINK_AT``       shrink explorer caps
-       (85%)                       (``set_explore_cap_scale``), stop new
+2      usage ≥ ``SHRINK_AT``       shrink explorer caps for every unit
+       (85%)                       dispatched after it
+                                   (``VerifyOptions.cap_scale``), stop new
                                    cache stores, mark the sweep degraded
 3      usage ≥ ``STOP_AT``         checkpoint-and-exit 3: pending units are
        (100%)                      marked interrupted, the journal keeps

@@ -58,7 +58,7 @@ class Tracer:
         #: Creating process — a fork-started pool worker inherits the
         #: parent's context var, but records appended to that *copy* are
         #: lost; workers compare this against their own pid and collect
-        #: into a fresh local tracer instead (see engine._verify_one).
+        #: into a fresh local tracer instead (see engine._UnitWorker).
         self.pid = os.getpid()
 
     # -- recording -----------------------------------------------------------

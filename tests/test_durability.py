@@ -323,12 +323,12 @@ class TestWatchdogCheckpoint:
     def test_shrink_rung_marks_degraded(
         self, tmp_path, monkeypatch, synchronous_watchdog
     ):
-        from repro.core.verify import explore_cap_scale
+        from repro.core.verify import current_options
 
         seen = {}
 
         def spy_verifier(**kwargs):
-            seen["scale"] = explore_cap_scale()
+            seen["scale"] = current_options().cap_scale
             return _ok_verifier(**kwargs)
 
         monkeypatch.setattr(
@@ -343,4 +343,4 @@ class TestWatchdogCheckpoint:
         # The cap shrink was in force while the verifier ran...
         assert seen["scale"] == 0.5
         # ...and was restored after the sweep.
-        assert explore_cap_scale() == 1.0
+        assert current_options().cap_scale == 1.0

@@ -41,18 +41,15 @@ def test_liveness_preserves_verdict_and_terminals(scenario):
 
 
 def test_verifier_verdict_unchanged_under_liveness_default():
-    """The check_triple path: a full real verification run with the
-    process liveness default installed is obligation-for-obligation
-    identical to the plain run."""
-    from repro.core.verify import set_liveness_default
+    """The check_triple path: a full real verification run with liveness
+    installed in its VerifyOptions is obligation-for-obligation identical
+    to the plain run."""
+    from repro.core.verify import VerifyOptions, options_installed
     from repro.structures.locks.verify import verify_cas_lock
 
     base = verify_cas_lock()
-    set_liveness_default(True)
-    try:
+    with options_installed(VerifyOptions(liveness=True)):
         live = verify_cas_lock()
-    finally:
-        set_liveness_default(None)
     assert live.ok == base.ok
     assert [
         (o.name, o.category, o.ok, tuple(o.issues)) for o in live.obligations
@@ -62,15 +59,15 @@ def test_verifier_verdict_unchanged_under_liveness_default():
 
 
 def test_sweep_liveness_flag_is_restored():
-    """run_sweep(liveness=True) must not leak the default into the
-    caller's process."""
-    from repro.core.verify import liveness_default
+    """run_sweep(liveness=True) must not leak liveness into the caller's
+    installed options."""
+    from repro.core.verify import current_options
     from repro.engine import run_sweep
 
-    assert not liveness_default()
+    assert not current_options().liveness
     result = run_sweep(["CAS-lock"], jobs=1, cache=False, liveness=True)
     assert result.ok
-    assert not liveness_default()
+    assert not current_options().liveness
 
 
 @pytest.mark.parametrize("program", ["Ticketed lock", "Unfair lock demo"])
