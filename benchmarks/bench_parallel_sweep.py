@@ -16,11 +16,20 @@ speedup is hardware-independent and is what the bench enforces.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import shutil
 import time
 
-from repro.engine import ObligationCache, run_sweep
+from repro.core.verify import VerificationReport, VerifyOptions
+from repro.engine import (
+    ObligationCache,
+    WorkUnit,
+    program_fingerprint,
+    resolve_programs,
+    run_sweep,
+)
+from repro.engine.engine import _install_worker_prepass, _UnitWorker
 
 from conftest import emit
 
@@ -41,7 +50,7 @@ JOBS = 2
 MIN_WARM_SPEEDUP = 5.0
 
 #: Supervision (apply_async + polling + retries bookkeeping) must cost
-#: under 10% over the bare PR-2 ``pool.map`` on the clean path (ISSUE 3).
+#: under 10% over a bare ``pool.map`` on the clean path.
 MAX_SUPERVISION_OVERHEAD = 0.10
 
 #: Absolute grace on the overhead comparison: scheduler noise between
@@ -49,17 +58,17 @@ MAX_SUPERVISION_OVERHEAD = 0.10
 OVERHEAD_SLACK_SECONDS = 1.0
 
 
-def _verdicts(result):
+def _verdicts(reports):
     return {
-        o.name: (
-            o.report.ok,
+        name: (
+            report.ok,
             {
                 ob.name: (ob.ok, tuple(ob.issues))
-                for ob in o.report.obligations
+                for ob in report.obligations
             },
-            o.report.counts_by_category(),
+            report.counts_by_category(),
         )
-        for o in result.outcomes
+        for name, report in reports.items()
     }
 
 
@@ -69,24 +78,46 @@ def _timed(**kwargs):
     return result, time.perf_counter() - started
 
 
+def _timed_pool_map():
+    """The unsupervised baseline: the sweep's own work units, unit worker
+    and pool initializer under a bare ``pool.map``, which dies wholesale
+    on any worker fault.  Programs are fingerprinted first, as a sweep
+    does, so the gap is supervision alone."""
+    started = time.perf_counter()
+    programs = resolve_programs(PROGRAMS)
+    for info in programs:
+        program_fingerprint(info)
+    units = [WorkUnit(info) for info in programs]
+    with multiprocessing.Pool(
+        processes=JOBS, initializer=_install_worker_prepass
+    ) as pool:
+        payloads = pool.map(_UnitWorker(VerifyOptions()), units)
+    reports = {
+        unit.program: VerificationReport.from_dict(payload["report"])
+        for unit, payload in zip(units, payloads)
+    }
+    return reports, time.perf_counter() - started
+
+
 def test_parallel_cached_sweep(out_dir):
     cache_dir = out_dir / "parallel-sweep-cache"
     shutil.rmtree(cache_dir, ignore_errors=True)
 
     serial, serial_secs = _timed(jobs=1, cache=False)
-    legacy, legacy_secs = _timed(jobs=JOBS, cache=False, supervised=False)
+    legacy, legacy_secs = _timed_pool_map()
     parallel, parallel_secs = _timed(jobs=JOBS, cache=False)
     cold, cold_secs = _timed(jobs=JOBS, cache_dir=cache_dir)
     warm, warm_secs = _timed(jobs=JOBS, cache_dir=cache_dir)
 
     # Contract 1: fanning out changes nothing but the wall clock —
     # supervised or not.
-    assert _verdicts(serial) == _verdicts(parallel)
-    assert _verdicts(serial) == _verdicts(legacy)
-    assert _verdicts(serial) == _verdicts(cold) == _verdicts(warm)
+    expected = _verdicts(serial.reports())
+    assert expected == _verdicts(parallel.reports())
+    assert expected == _verdicts(legacy)
+    assert expected == _verdicts(cold.reports()) == _verdicts(warm.reports())
     assert serial.ok
 
-    # Contract 3 (ISSUE 3): supervision is nearly free on the clean path.
+    # Contract 3: supervision is nearly free on the clean path.
     overhead = (parallel_secs - legacy_secs) / legacy_secs
     assert parallel_secs <= legacy_secs * (1 + MAX_SUPERVISION_OVERHEAD) + (
         OVERHEAD_SLACK_SECONDS

@@ -13,7 +13,11 @@ and keeps the end-to-end metrics each run prints.
 
 The row is written to ``BENCH_verify.json`` at the root of the checkout
 (``--out``), keyed by ``--label``: recording another workload under the
-same label adds it to that row.  A row holds the parent and change shas,
+same label adds it to that row, and recording a workload again adds its
+new pairs to the ones already there, with every summary recomputed over
+all of them (pairs against another parent or with another ``--seconds``
+do not compare, so such a run is refused before it starts).  A row
+holds the parent and change shas,
 the core count, the Python version, the seeds, every pair's metrics and
 behaviour digests, and per side the median and quartiles of each metric.
 The tool writes nothing under ``verifybench/`` and never touches
@@ -108,7 +112,8 @@ def summary(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def record(args: argparse.Namespace, parent: Path) -> dict[str, Any]:
+def record(args: argparse.Namespace, parent: Path) -> list[dict[str, Any]]:
+    """Alternating parent/change runs, one pair per seed."""
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -118,6 +123,12 @@ def record(args: argparse.Namespace, parent: Path) -> dict[str, Any]:
             pair[side] = run_bench(tree, args.workload, seed, args.seconds)
             print(f"seed {seed} {side}: {json.dumps(pair[side])}", flush=True)
         pairs.append(pair)
+    return pairs
+
+
+def summarize(pairs: list[dict[str, Any]], seconds: float) -> dict[str, Any]:
+    """A workload entry: ``pairs`` with the medians, quartiles, digests,
+    per-metric change wins and correctness over all of them."""
     stats: dict[str, Any] = {}
     for side in ("parent", "change"):
         stats[side] = {
@@ -133,13 +144,47 @@ def record(args: argparse.Namespace, parent: Path) -> dict[str, Any]:
         for m in METRICS
     }
     return {
-        "seeds": args.seeds,
-        "seconds": args.seconds,
+        "seeds": [p["seed"] for p in pairs],
+        "seconds": seconds,
         "pairs": pairs,
         **stats,
         "change_wins": wins,
         "correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
     }
+
+
+def incompatible(
+    row: dict[str, Any] | None, workload: str, *, seconds: float, parent_sha: str
+) -> str | None:
+    """Why new pairs for ``workload`` cannot join ``row`` (``None`` when
+    they can): every workload of a row is measured against one parent,
+    and the pairs of one workload with one run length."""
+    if not (row or {}).get("workloads"):
+        return None
+    if row.get("parent_sha") != parent_sha:
+        return f"row {row['label']!r} was recorded against parent {row.get('parent_sha')}"
+    entry = row["workloads"].get(workload)
+    if entry is not None and entry["seconds"] != seconds:
+        return f"{workload!r} was recorded with --seconds {entry['seconds']}"
+    return None
+
+
+def merge_workload(
+    row: dict[str, Any],
+    workload: str,
+    pairs: list[dict[str, Any]],
+    *,
+    seconds: float,
+    parent_sha: str,
+) -> dict[str, Any]:
+    """Add ``pairs`` to ``row``'s entry for ``workload`` and recompute
+    its summary over every pair, old and new."""
+    problem = incompatible(row, workload, seconds=seconds, parent_sha=parent_sha)
+    if problem is not None:
+        raise ValueError(problem)
+    earlier = row["workloads"].get(workload, {}).get("pairs", [])
+    entry = row["workloads"][workload] = summarize(earlier + pairs, seconds)
+    return entry
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -153,6 +198,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_verify.json")
     args = parser.parse_args(argv)
 
+    parent_sha = git("rev-parse", args.parent_rev)
+    trajectory = (
+        json.loads(args.out.read_text(encoding="utf-8"))
+        if args.out.exists()
+        else {"schema": SCHEMA, "rows": []}
+    )
+    row = next((r for r in trajectory["rows"] if r["label"] == args.label), None)
+    problem = incompatible(
+        row, args.workload, seconds=args.seconds, parent_sha=parent_sha
+    )
+    if problem is not None:
+        print(f"record_verifybench: {problem}; use another --label", file=sys.stderr)
+        return 2
+
     work = args.work_dir or Path(tempfile.mkdtemp(prefix="record-verifybench-"))
     parent = work / "parent"
     if parent.exists():
@@ -160,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     parent.mkdir(parents=True)
     try:
         export(args.parent_rev, parent)
-        result = record(args, parent)
+        pairs = record(args, parent)
     finally:
         shutil.rmtree(parent, ignore_errors=True)
         if args.work_dir is None:
@@ -168,19 +227,16 @@ def main(argv: list[str] | None = None) -> int:
 
     head = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--", "src"))
-    trajectory = (
-        json.loads(args.out.read_text(encoding="utf-8"))
-        if args.out.exists()
-        else {"schema": SCHEMA, "rows": []}
-    )
-    row = next((r for r in trajectory["rows"] if r["label"] == args.label), None)
     if row is None:
         row = {"label": args.label, "workloads": {}}
         trajectory["rows"].append(row)
+    result = merge_workload(
+        row, args.workload, pairs, seconds=args.seconds, parent_sha=parent_sha
+    )
     row.update(
         {
             "recorded": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-            "parent_sha": git("rev-parse", args.parent_rev),
+            "parent_sha": parent_sha,
             # the change's own commit, or (src/ dirty) the commit it was measured over
             "change_sha": head,
             "change_src_dirty": dirty,
@@ -188,7 +244,6 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
         }
     )
-    row["workloads"][args.workload] = result
     args.out.write_text(json.dumps(trajectory, indent=1) + "\n", encoding="utf-8")
     for side in ("parent", "change"):
         wall = result[side]["wall_s"]
@@ -196,7 +251,10 @@ def main(argv: list[str] | None = None) -> int:
             f"{side}: wall_s median {wall['median']:.3f} "
             f"(q1 {wall['q1']:.3f}, q3 {wall['q3']:.3f}) digests {result[side]['digests']}"
         )
-    print(f"change won wall_s in {result['change_wins']['wall_s']}/{len(args.seeds)} pairs")
+    print(
+        f"change won wall_s in {result['change_wins']['wall_s']}/"
+        f"{len(result['pairs'])} pairs"
+    )
     print(f"wrote {args.out}")
     return 0 if result["correct"] else 1
 

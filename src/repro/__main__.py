@@ -9,8 +9,7 @@ entry points.
   persistent self-healing obligation cache (``--no-cache`` to disable),
   deterministic fault injection (``--inject``, see docs/ROBUSTNESS.md),
   a durable sweep journal with crash recovery (``--resume``,
-  ``--no-journal``), per-obligation-group work units
-  (``--split-obligations``), soft resource budgets (``--max-rss``,
+  ``--no-journal``), soft resource budgets (``--max-rss``,
   ``--max-disk``), text or JSON output.  Exits 0 (all verified), 1 (a
   verdict failed), 2 (unknown program), or 3 (infrastructure fault: a
   program was quarantined, the sweep was interrupted or checkpointed,
@@ -227,7 +226,6 @@ def _run_verify(args: argparse.Namespace) -> int:
                 faults=plan,
                 journal=not args.no_journal,
                 resume=args.resume,
-                split_obligations=args.split_obligations,
                 incremental=args.incremental,
                 max_rss_mb=args.max_rss,
                 max_disk_mb=args.max_disk,
@@ -236,8 +234,8 @@ def _run_verify(args: argparse.Namespace) -> int:
         print(f"repro-verify: {exc.args[0]}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # Flag combinations the engine rejects (e.g. --incremental with
-        # --split-obligations or --no-cache) are usage errors.
+        # Flag combinations the engine rejects (--incremental with
+        # --no-cache) are usage errors.
         print(f"repro-verify: {exc}", file=sys.stderr)
         return 2
     if args.trace:
@@ -640,19 +638,12 @@ def main(argv: list[str] | None = None) -> int:
         "resumable after a crash)",
     )
     verify.add_argument(
-        "--split-obligations",
-        action="store_true",
-        help="decompose each program into per-obligation-category work "
-        "units: timeouts, retries, quarantine and journal replay then "
-        "apply per (program, group) instead of per program",
-    )
-    verify.add_argument(
         "--incremental",
         action="store_true",
         help="re-verify only obligations whose static dependency cone "
         "contains an edit (fcsl-deps): fresh obligations replay from "
         "per-obligation fingerprints in the cache entry; requires the "
-        "cache, mutually exclusive with --split-obligations",
+        "cache",
     )
     verify.add_argument(
         "--max-rss",

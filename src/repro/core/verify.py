@@ -62,13 +62,13 @@ def get_prepass():
 # -- the verify options -------------------------------------------------------------------
 #
 # What a verifier run is asked to do beyond its program: the bounded
-# livelock detector, the explorer cap scale, and the obligation-category
-# and obligation-name filters.  The engine installs one VerifyOptions
-# around each work unit's run_verifier call (the filters come with the
-# unit, the rest with the sweep); ReportBuilder.obligation and
-# check_triple read only that install.  Thread-local, like the plan sink
-# below, and nothing else — no process global, no environment — so a
-# verdict depends only on the program and the options it was run with.
+# livelock detector, the explorer cap scale, and the obligation-name
+# filter.  The engine installs one VerifyOptions around each work
+# unit's run_verifier call (the filter comes with the unit, the rest
+# with the sweep); ReportBuilder.obligation and check_triple read only
+# that install.  Thread-local, like the plan sink below, and nothing
+# else — no process global, no environment — so a verdict depends only
+# on the program and the options it was run with.
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,6 @@ class VerifyOptions:
     #: resource violations a full run would not, so the engine marks any
     #: sweep that reached this rung as degraded (exit 3).
     cap_scale: float = 1.0
-    #: Only obligations of these categories execute (and are recorded):
-    #: the basis of (program, obligation-group) work units, whose partial
-    #: reports the engine merges back (repro.engine.queue).
-    groups: frozenset[str] | None = None
     #: Only obligations of these names execute (and are recorded): the
     #: stale set of an incremental unit; the engine splices the cached
     #: results of the rest back in plan order.
@@ -412,13 +408,10 @@ class ReportBuilder:
             if not _plan_executes():
                 return ObligationResult(name, category, True, [], 0.0)
         options = current_options()
-        if (options.groups is not None and category not in options.groups) or (
-            options.names is not None and name not in options.names
-        ):
-            # Filtered out: another unit owns it (group filter), or its
-            # cached result is spliced back in by the engine (name
-            # filter).  Neither executed nor recorded; the dummy result
-            # is returned (not appended) for signature parity.
+        if options.names is not None and name not in options.names:
+            # Filtered out: its cached result is spliced back in by the
+            # engine.  Neither executed nor recorded; the dummy result is
+            # returned (not appended) for signature parity.
             return ObligationResult(name, category, True, [], 0.0)
         scope: list[str] = []
         stack = _skip_stack()

@@ -1,11 +1,12 @@
 """repro.engine — the parallel, cached, supervised verification engine.
 
 ``python -m repro verify`` and the evaluation's Table 1 sweep both run
-through :func:`run_sweep`: registry case studies fan out across a
-process pool (one worker per case study, fcsl-lint pre-pass installed
-per worker) under a fault-tolerant supervisor, and verdicts are
-replayed from a persistent on-disk obligation cache keyed by content
-fingerprint.  See :mod:`repro.engine.engine` for the orchestration,
+through :func:`run_sweep`: each registry case study is one work unit,
+and the units fan out across a process pool (one worker per case
+study, fcsl-lint pre-pass installed per worker) under a fault-tolerant
+supervisor — or run in-process through the supervisor's one serial
+runner under ``--jobs 1`` — and verdicts are replayed from a persistent
+on-disk obligation cache keyed by content fingerprint.  See :mod:`repro.engine.engine` for the orchestration,
 :mod:`repro.engine.supervisor` for timeouts/retries/worker isolation,
 :mod:`repro.engine.faults` for the deterministic fault-injection
 (chaos) layer, :mod:`repro.engine.cache` for the self-healing cache
@@ -13,9 +14,9 @@ layout and :mod:`repro.engine.fingerprint` for the invalidation rules.
 
 Durability (``--resume`` after a hard crash) is provided by
 :mod:`repro.engine.journal` (the fsync'd sweep journal),
-:mod:`repro.engine.queue` (the (program, obligation-group) work-unit
-decomposition) and :mod:`repro.engine.watchdog` (soft resource budgets
-with graceful degradation).
+:mod:`repro.engine.queue` (the per-program work units the journal
+replays) and :mod:`repro.engine.watchdog` (soft resource budgets with
+graceful degradation).
 """
 
 from .cache import (
@@ -57,23 +58,13 @@ from .journal import (
     load_image,
     read_journal,
 )
-from .queue import (
-    UNIT_SEP,
-    ProgramMerge,
-    UnitRecord,
-    WorkUnit,
-    decompose,
-    merge_program,
-    unit_mode,
-    units_for,
-)
+from .queue import UnitRecord, WorkUnit
 from .supervisor import (
     INFRA_STATUSES,
     SupervisionOutcome,
     Supervisor,
     SupervisorConfig,
     TaskResult,
-    supervise,
 )
 from .watchdog import (
     LEVEL_NAMES,
@@ -101,7 +92,6 @@ __all__ = [
     "JournalImage",
     "LEVEL_NAMES",
     "ObligationCache",
-    "ProgramMerge",
     "ProgramOutcome",
     "ResourceWatchdog",
     "SHED_AT",
@@ -113,10 +103,8 @@ __all__ = [
     "SweepJournal",
     "SweepResult",
     "TaskResult",
-    "UNIT_SEP",
     "UnitRecord",
     "WorkUnit",
-    "decompose",
     "default_cache_dir",
     "default_jobs",
     "dir_bytes",
@@ -124,16 +112,12 @@ __all__ = [
     "iter_events",
     "journal_path",
     "load_image",
-    "merge_program",
     "module_source",
     "program_fingerprint",
     "read_journal",
     "report_checksum",
     "resolve_programs",
     "run_sweep",
-    "supervise",
     "sweep",
     "tree_rss_bytes",
-    "unit_mode",
-    "units_for",
 ]

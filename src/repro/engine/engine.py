@@ -13,7 +13,9 @@ run.  The engine fixes both ends:
   :class:`~repro.analysis.prepass.StaticPrepass`, and skip attribution
   inside ``ReportBuilder`` is scoped (see
   :func:`repro.core.verify.record_prepass_skip`) rather than derived
-  from global counter deltas.
+  from global counter deltas.  Units that run in this process instead
+  (``--jobs 1``, or a pool that cannot be built) all share one install
+  rule: :func:`_in_process_prepass`.
 * **Caching** — verdicts persist in an on-disk
   :class:`~repro.engine.cache.ObligationCache` keyed by content
   fingerprint; unchanged case studies are verdict-replayed instantly on
@@ -34,28 +36,28 @@ run.  The engine fixes both ends:
   completes, so a sweep killed hard (kill -9, OOM, power loss) is
   resumable: ``sweep(resume=True)`` / ``repro verify --resume`` replays
   journaled verdicts and re-executes only the units that were pending
-  or in-flight, with verdicts identical to an uninterrupted run.  The
-  unit granularity is the work queue's (:mod:`repro.engine.queue`):
-  whole programs by default, (program, obligation-group) slices under
-  ``split_obligations`` — per-unit leases, retries and quarantine.  A
-  resource watchdog (:mod:`repro.engine.watchdog`) enforces soft
+  or in-flight, with verdicts identical to an uninterrupted run.  Each
+  program is one work unit (:mod:`repro.engine.queue`) — the whole
+  program, or its incremental slice — with its own lease, retries and
+  quarantine.  A resource watchdog (:mod:`repro.engine.watchdog`) enforces soft
   ``max_rss``/``max_disk`` budgets via a degradation ladder (shed
   parallelism → shrink explorer caps → checkpoint-and-exit 3) instead
   of letting the kernel OOM-killer pick the failure mode.
 
-``--jobs 1`` degenerates to the fully serial in-process path (no pool is
-ever created), which doubles as the reference the parallel path is
-tested for equivalence against.
+``--jobs 1`` runs the supervisor's in-process serial runner directly (no
+pool is ever created) — the same loop a degraded sweep falls back to —
+and doubles as the reference the parallel path is tested for
+equivalence against.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from pathlib import Path
 
@@ -75,14 +77,14 @@ from .depgraph import DepGraph, build_depgraph
 from .faults import FaultPlan, maybe_inject, plan_installed
 from .fingerprint import program_fingerprint
 from .journal import SweepJournal, journal_path, load_image
-from .queue import UnitRecord, WorkUnit, merge_program, unit_mode, units_for
+from .queue import UnitRecord, WorkUnit
 from .supervisor import (
     INFRA_STATUSES,
+    Supervisor,
     SupervisorConfig,
     TaskResult,
     announce,
     exc_payload,
-    supervise,
 )
 from .watchdog import LEVEL_NAMES, ResourceWatchdog
 
@@ -113,8 +115,6 @@ class ProgramOutcome:
     retries: int = 0
     #: Structured ``{type, message, traceback}`` for error-class statuses.
     error: dict[str, Any] | None = None
-    #: Work units this program decomposed into (1 = whole-program unit).
-    units: int = 1
     #: Units whose verdict was replayed from the sweep journal instead
     #: of re-executed (``--resume`` after a crash).
     replayed_units: int = 0
@@ -123,6 +123,33 @@ class ProgramOutcome:
     #: fingerprints).  ``None`` = the program did not verify
     #: incrementally (full run, cache hit, or quarantine).
     reverified: int | None = None
+
+    @classmethod
+    def from_record(cls, record: UnitRecord, fingerprint: str) -> "ProgramOutcome":
+        """A program's outcome from its one unit's terminal record: a
+        verdict payload makes it ``ok`` or ``failed``; any other status
+        quarantines the program (no report: a verifier that did not
+        finish has no verdict)."""
+        program = record.unit.program
+        report = None
+        status = record.status
+        if status == "report":
+            # Reported under the registry name, whatever the verifier
+            # called its report.
+            shipped = VerificationReport.from_dict(record.payload["report"])
+            report = VerificationReport(program, shipped.obligations)
+            status = "ok" if report.ok else "failed"
+        return cls(
+            program,
+            report,
+            fingerprint,
+            False,
+            record.seconds,
+            status=status,
+            retries=record.retries,
+            error=None if report is not None else record.error,
+            replayed_units=int(record.replayed),
+        )
 
     @property
     def ok(self) -> bool:
@@ -156,7 +183,6 @@ class ProgramOutcome:
                 [o.to_dict() for o in self.report.failures()] if self.report else []
             ),
             "error": self.error,
-            "units": self.units,
             "replayed_units": self.replayed_units,
             "reverified": self.reverified,
         }
@@ -347,13 +373,39 @@ def _uninstall_worker_prepass() -> None:
     set_prepass(None)
 
 
+@contextmanager
+def _in_process_prepass(prepass: bool, resident: Any) -> Iterator[Any]:
+    """The one pre-pass install rule for every unit run in this process
+    (``--jobs 1`` and the degraded fallback alike): the caller's
+    ``resident`` pre-pass, else a fresh
+    :class:`~repro.analysis.prepass.StaticPrepass` — or none at all when
+    ``prepass`` is off, even over one the caller had installed.  The
+    serve daemon passes its resident pre-pass so its skip counters span
+    requests (a sweep verdict is still shared only by the obligations of
+    one run).  The caller's pre-pass is restored on exit."""
+    if not prepass:
+        installed = None
+    elif resident is not None:
+        installed = resident
+    else:
+        from ..analysis.prepass import StaticPrepass
+
+        installed = StaticPrepass()
+    previous = get_prepass()
+    set_prepass(installed)
+    try:
+        yield installed
+    finally:
+        set_prepass(previous)
+
+
 class _UnitWorker:
     """The callable every dispatch path runs a work unit with.
 
     It carries the sweep-level :class:`~repro.core.verify.VerifyOptions`
-    (liveness, explorer cap scale); each unit adds its own obligation
-    filters (``WorkUnit.group`` / ``WorkUnit.names``).  A pool pickles
-    the callable with every dispatch, so the watchdog's rung-2 shrink —
+    (liveness, explorer cap scale); an incremental unit adds its
+    obligation-name filter (``WorkUnit.names``).  A pool pickles the
+    callable with every dispatch, so the watchdog's rung-2 shrink —
     which replaces ``options`` — reaches every unit dispatched after it,
     in a pool worker and in-process alike.
     """
@@ -371,18 +423,13 @@ class _UnitWorker:
         fire *before* the capture — a ``raise`` fault models a harness
         bug escaping the worker, which the supervisor (not this method)
         must absorb.  Program-named fault specs fire for every unit of
-        the program; unit-id-named specs (``Program::Group:kind``) target
-        one obligation group alone.
+        the program; an incremental unit also answers to its unit id.
         """
         announce(unit.name)
         maybe_inject(unit.program, attempt)
-        if unit.group is not None or unit.names is not None:
+        if unit.names is not None:
             maybe_inject(unit.name, attempt)
-        options = replace(
-            self.options,
-            groups=frozenset((unit.group,)) if unit.group is not None else None,
-            names=unit.names,
-        )
+        options = replace(self.options, names=unit.names)
         if obs_tracer.local_session_needed():
             # Pool worker under a tracing parent: collect a local trace and
             # ship its (picklable) records home in the payload for ingestion.
@@ -392,24 +439,15 @@ class _UnitWorker:
             return payload
         return _verify_payload(unit, options)
 
-    def prepassed(self, unit: WorkUnit, attempt: int = 1) -> dict[str, Any]:
-        """Degraded-serial worker: per-call pre-pass installation (the pool
-        initializer that normally does this never ran)."""
-        from ..analysis.prepass import static_prepass
-
-        with static_prepass():
-            return self(unit, attempt)
-
 
 def _verify_payload(unit: WorkUnit, options: VerifyOptions) -> dict[str, Any]:
     info = unit.info
     started = time.perf_counter()
     collected: list | None = None
     try:
-        # A group unit executes (and records) only its category's
-        # obligations; an incremental unit (fcsl-deps) only its stale
-        # ones — the fresh rest replay from their cached per-obligation
-        # fingerprints in the parent's merge.
+        # An incremental unit (fcsl-deps) executes (and records) only
+        # its stale obligations — the fresh rest replay from their
+        # cached per-obligation fingerprints in the parent's merge.
         with options_installed(options):
             if unit.collect_deps:
                 # Cold incremental entry: record the obligation plan while
@@ -445,7 +483,6 @@ def _verify_payload(unit: WorkUnit, options: VerifyOptions) -> dict[str, Any]:
             if graph is not None:
                 payload["obligations"] = graph.fingerprints
             payload["seconds"] = time.perf_counter() - started
-    payload["group"] = unit.group
     tr = obs_tracer.current()
     if tr is not None:
         tr.span(
@@ -463,137 +500,6 @@ def default_jobs(pending: int) -> int:
     return max(1, min(pending, os.cpu_count() or 1))
 
 
-def _serial_results(
-    pending: Sequence[WorkUnit],
-    *,
-    worker: _UnitWorker,
-    prepass: bool,
-    resident_prepass: Any = None,
-    on_lease: Any = None,
-    on_result: Any = None,
-    should_stop: Any = None,
-) -> tuple[dict[str, TaskResult], bool]:
-    """The ``--jobs 1`` path: in-process, no pool, no supervision.
-
-    Per-unit timeouts and crash isolation need a process boundary and do
-    not apply here; verifier exceptions are still captured as structured
-    ``error`` outcomes, and a ``KeyboardInterrupt`` (or a watchdog
-    ``should_stop`` checkpoint) returns the completed prefix with the
-    rest marked ``interrupted`` — every completed unit was already
-    delivered through ``on_result``, so the journal holds its verdict.
-
-    ``resident_prepass`` is a caller-owned
-    :class:`~repro.analysis.prepass.StaticPrepass` installed for the
-    duration instead of a throwaway one: the serve daemon passes its
-    resident one here so its skip counters span requests (a sweep
-    verdict is still shared only by the obligations of one run, see
-    :class:`~repro.analysis.prepass.StaticPrepass`).  ``prepass=False``
-    installs none, even over one the caller had installed.  The caller's
-    pre-pass is restored on return either way.
-    """
-    results: dict[str, TaskResult] = {}
-    interrupted = False
-
-    def emit(result: TaskResult) -> None:
-        results[result.name] = result
-        if on_result is not None:
-            try:
-                on_result(result)
-            except Exception:  # noqa: BLE001 - journaling must not kill units
-                pass
-
-    def run_all() -> None:
-        nonlocal interrupted
-        for unit in pending:
-            if not interrupted and should_stop is not None:
-                try:
-                    interrupted = should_stop() is not None
-                except Exception:  # noqa: BLE001 - a sick callback never stalls
-                    pass
-            if interrupted:
-                emit(TaskResult(unit.name, "interrupted"))
-                continue
-            started = time.perf_counter()
-            if on_lease is not None:
-                try:
-                    on_lease(unit.name, 1, None)
-                except Exception:  # noqa: BLE001
-                    pass
-            try:
-                payload = worker(unit)
-            except KeyboardInterrupt:
-                interrupted = True
-                emit(
-                    TaskResult(
-                        unit.name, "interrupted",
-                        seconds=time.perf_counter() - started,
-                    )
-                )
-                continue
-            except Exception as exc:  # noqa: BLE001 - e.g. injected 'raise'
-                emit(
-                    TaskResult(
-                        unit.name, "error",
-                        error=exc_payload(exc),
-                        seconds=time.perf_counter() - started,
-                    )
-                )
-                continue
-            emit(
-                TaskResult(
-                    unit.name,
-                    payload.get("status", "report"),
-                    payload=payload,
-                    error=payload.get("error"),
-                    seconds=time.perf_counter() - started,
-                )
-            )
-
-    if not prepass:
-        installed = None
-    elif resident_prepass is not None:
-        installed = resident_prepass
-    else:
-        from ..analysis.prepass import StaticPrepass
-
-        installed = StaticPrepass()
-    previous = get_prepass()
-    set_prepass(installed)
-    try:
-        run_all()
-    finally:
-        set_prepass(previous)
-    return results, interrupted
-
-
-def _pool_map_results(
-    pending: Sequence[WorkUnit], *, worker: _UnitWorker, jobs: int, prepass: bool
-) -> dict[str, TaskResult]:
-    """The unsupervised PR-2 path: a bare ``pool.map``.
-
-    Kept as the baseline the supervised path is benchmarked against
-    (``bench_parallel_sweep`` asserts < 10% clean-path overhead) — it
-    dies wholesale on any worker fault and should not be used outside
-    that comparison."""
-    with multiprocessing.Pool(
-        processes=jobs,
-        initializer=(
-            _install_worker_prepass if prepass else _uninstall_worker_prepass
-        ),
-    ) as pool:
-        payloads = pool.map(worker, pending)
-    return {
-        unit.name: TaskResult(
-            unit.name,
-            payload.get("status", "report"),
-            payload=payload,
-            error=payload.get("error"),
-            seconds=payload.get("seconds", 0.0),
-        )
-        for unit, payload in zip(pending, payloads)
-    }
-
-
 # -- the phases of one sweep ---------------------------------------------------
 
 
@@ -601,21 +507,21 @@ def _pool_map_results(
 class _SweepState:
     """What the phases of one :func:`sweep` share.
 
-    Each phase reads the fixed inputs and settles programs into
-    ``outcomes`` (a finished program) or units into ``unit_records``
-    (terminal per-unit state, journal-replayed or live); a program or
-    unit settled by one phase is skipped by the later ones.
+    Each phase reads the fixed inputs and settles a program into
+    ``outcomes`` (a finished program) or its unit into ``unit_records``
+    (terminal unit state, journal-replayed or live); a program settled
+    by one phase is skipped by the later ones.
     """
 
     programs: Sequence[ProgramInfo]
     fingerprints: dict[str, str]
-    #: program -> its work units (incremental planning may replace them)
-    program_units: dict[str, list[WorkUnit]]
+    #: program -> its work unit (incremental planning may replace it)
+    program_units: dict[str, WorkUnit]
     store: ObligationCache | None
     journal: SweepJournal | None
-    split: bool
     incremental: bool
     tr: Any
+    #: program -> its unit's terminal record
     unit_records: dict[str, UnitRecord] = field(default_factory=dict)
     outcomes: dict[str, ProgramOutcome] = field(default_factory=dict)
     inc_plans: dict[str, _IncrementalPlan] = field(default_factory=dict)
@@ -624,10 +530,8 @@ class _SweepState:
     stop_caching: bool = False
 
     def replayed(self, info: ProgramInfo) -> bool:
-        """Whether the journal replayed any unit of ``info``."""
-        return info.name in self.unit_records or any(
-            u.name in self.unit_records for u in self.program_units[info.name]
-        )
+        """Whether the journal replayed ``info``'s unit."""
+        return info.name in self.unit_records
 
     def store_report(
         self,
@@ -670,37 +574,29 @@ def _replay_journal(
         image = None
     if image is not None:
         for info in state.programs:
-            fingerprint = state.fingerprints[info.name]
-            whole = image.replayable(info.name, info.name, fingerprint)
-            candidates: list[tuple[WorkUnit, dict[str, Any]]] = []
-            if whole is not None:
-                candidates.append((WorkUnit(info), whole))
-            elif state.split:
-                for unit in state.program_units[info.name]:
-                    rec = image.replayable(unit.name, info.name, fingerprint)
-                    if rec is not None:
-                        candidates.append((unit, rec))
-            for unit, rec in candidates:
-                payload = rec.get("payload")
-                if not isinstance(payload, dict) or "report" not in payload:
-                    continue
-                state.unit_records[unit.name] = UnitRecord(
-                    unit,
-                    "report",
-                    payload=payload,
-                    retries=int(rec.get("retries") or 0),
-                    seconds=float(rec.get("seconds") or 0.0),
-                    replayed=True,
-                )
-                if state.tr is not None:
-                    state.tr.instant("journal:replay", "journal", unit=unit.name)
+            unit = state.program_units[info.name]
+            rec = image.replayable(
+                unit.name, info.name, state.fingerprints[info.name]
+            )
+            payload = rec.get("payload") if rec is not None else None
+            if not isinstance(payload, dict) or "report" not in payload:
+                continue
+            state.unit_records[info.name] = UnitRecord(
+                unit,
+                "report",
+                payload=payload,
+                retries=int(rec.get("retries") or 0),
+                seconds=float(rec.get("seconds") or 0.0),
+                replayed=True,
+            )
+            if state.tr is not None:
+                state.tr.instant("journal:replay", "journal", unit=unit.name)
     if state.journal is not None:
         state.journal.begin(
             state.fingerprints,
-            [u.name for units in state.program_units.values() for u in units],
-            mode=unit_mode(state.split),
+            [unit.name for unit in state.program_units.values()],
             resume=image is not None,
-            flags={"split": state.split, "liveness": liveness},
+            flags={"liveness": liveness},
         )
 
 
@@ -730,13 +626,12 @@ def _replay_cache(state: _SweepState) -> None:
             True,
             elapsed,
             status="ok" if hit.ok else "failed",
-            units=len(state.program_units[info.name]),
         )
         if sj is not None:
             # Journal the replayed verdict too: resume must not depend on
             # the cache entry still being intact.
             sj.unit_done(
-                info.name, info.name, None, "report",
+                info.name, info.name, "report",
                 payload={"report": hit.to_dict()},
                 seconds=elapsed, via="cache",
             )
@@ -773,7 +668,7 @@ def _plan_incremental(state: _SweepState) -> None:
         entry = state.store.load_incremental(info.name)
         if entry is None:
             # Cold entry: full verify, the unit walks the cones.
-            state.program_units[info.name] = [WorkUnit(info, collect_deps=True)]
+            state.program_units[info.name] = WorkUnit(info, collect_deps=True)
             continue
         t0 = time.perf_counter()
         try:
@@ -784,7 +679,7 @@ def _plan_incremental(state: _SweepState) -> None:
                 f"dependency analysis failed for {info.name!r} "
                 f"({type(exc).__name__}: {exc}); verifying fully"
             )
-            state.program_units[info.name] = [WorkUnit(info, collect_deps=True)]
+            state.program_units[info.name] = WorkUnit(info, collect_deps=True)
             continue
         if graph is None:
             state.warnings.append(
@@ -811,9 +706,9 @@ def _plan_incremental(state: _SweepState) -> None:
             state.inc_plans[info.name] = _IncrementalPlan(
                 graph=graph, order=order, stale=stale, cached=cached_results
             )
-            state.program_units[info.name] = [
-                WorkUnit(info, names=frozenset(stale))
-            ]
+            state.program_units[info.name] = WorkUnit(
+                info, names=frozenset(stale)
+            )
             continue
         merged = VerificationReport(info.name)
         merged.obligations.extend(cached_results[name] for name in order)
@@ -825,7 +720,6 @@ def _plan_incremental(state: _SweepState) -> None:
             True,
             elapsed,
             status="ok" if merged.ok else "failed",
-            units=len(state.program_units[info.name]),
             reverified=0,
         )
         # Refresh the entry under the new program fingerprint so the
@@ -838,7 +732,7 @@ def _plan_incremental(state: _SweepState) -> None:
         )
         if state.journal is not None:
             state.journal.unit_done(
-                info.name, info.name, None, "report",
+                info.name, info.name, "report",
                 payload={"report": merged.to_dict()},
                 seconds=elapsed, via="incremental",
             )
@@ -880,7 +774,6 @@ def _execute(
     jobs: int | None,
     prepass: bool,
     resident_prepass: Any,
-    supervised: bool,
     timeout: float | None,
     retries: int,
     backoff: float,
@@ -888,22 +781,23 @@ def _execute(
     on_lease: Any,
     on_result: Any,
 ) -> tuple[int, bool, bool]:
-    """Dispatch every unit no earlier phase settled and record each
-    one's terminal state, journaling it the moment it completes.
-    Returns ``(jobs, degraded, interrupted)``."""
-    pending_units: list[WorkUnit] = []
-    for info in state.programs:
-        if info.name in state.outcomes or info.name in state.unit_records:
-            continue
-        pending_units.extend(
-            u for u in state.program_units[info.name]
-            if u.name not in state.unit_records
-        )
+    """Dispatch the unit of every program no earlier phase settled and
+    record each one's terminal state, journaling it the moment it
+    completes.  ``jobs == 1`` runs the supervisor's serial runner
+    directly; wider sweeps use its pool.  Returns ``(jobs, degraded,
+    interrupted)``."""
+    pending_units = [
+        state.program_units[info.name]
+        for info in state.programs
+        if info.name not in state.outcomes and info.name not in state.unit_records
+    ]
     units_by_name = {u.name: u for u in pending_units}
     sj = state.journal
 
     jobs = default_jobs(len(pending_units)) if jobs is None else max(1, jobs)
     jobs = min(jobs, len(pending_units)) if pending_units else 1
+    if not pending_units:
+        return jobs, False, False
 
     def _journal_lease(name: str, attempt: int, lease: float | None) -> None:
         unit = units_by_name.get(name)
@@ -935,83 +829,55 @@ def _execute(
                 # fingerprint map too, so --resume stores it.
                 payload["obligations"] = shipped
         sj.unit_done(
-            result.name, unit.program, unit.group, result.status,
+            result.name, unit.program, result.status,
             payload=payload, error=result.error, retries=result.retries,
             seconds=(result.payload or {}).get("seconds", result.seconds),
         )
 
-    degraded = interrupted = False
-    should_stop = watchdog.stop_reason if watchdog is not None else None
+    supervisor = Supervisor(
+        pending_units,
+        worker=worker,
+        config=SupervisorConfig(
+            jobs=jobs,
+            timeout=timeout,
+            retries=retries,
+            backoff=backoff,
+            throttle=watchdog.throttle(jobs) if watchdog is not None else None,
+            should_stop=watchdog.stop_reason if watchdog is not None else None,
+        ),
+        initializer=(
+            _install_worker_prepass if prepass else _uninstall_worker_prepass
+        ),
+        on_lease=_journal_lease,
+        on_result=_journal_result,
+    )
     try:
-        if pending_units:
-            if watchdog is not None:
-                watchdog.start()
-            if jobs == 1:
-                results, interrupted = _serial_results(
-                    pending_units,
-                    worker=worker,
-                    prepass=prepass,
-                    resident_prepass=resident_prepass,
-                    on_lease=_journal_lease,
-                    on_result=_journal_result,
-                    should_stop=should_stop,
-                )
-            elif not supervised:
-                results = _pool_map_results(
-                    pending_units, worker=worker, jobs=jobs, prepass=prepass
-                )
-            else:
-                outcome = supervise(
-                    pending_units,
-                    worker=worker,
-                    config=SupervisorConfig(
-                        jobs=jobs,
-                        timeout=timeout,
-                        retries=retries,
-                        backoff=backoff,
-                        throttle=(
-                            watchdog.throttle(jobs)
-                            if watchdog is not None else None
-                        ),
-                        should_stop=should_stop,
-                    ),
-                    initializer=(
-                        _install_worker_prepass
-                        if prepass
-                        else _uninstall_worker_prepass
-                    ),
-                    serial_worker=worker.prepassed if prepass else worker,
-                    on_lease=_journal_lease,
-                    on_result=_journal_result,
-                )
-                results = outcome.results
-                degraded = outcome.degraded
-                interrupted = outcome.interrupted
-                state.warnings.extend(outcome.warnings)
-
-            journaled_live = supervised or jobs == 1
-            for unit in pending_units:
-                result = results.get(unit.name)
-                if result is None:  # defensive: everyone gets an answer
-                    state.unit_records[unit.name] = UnitRecord(unit, "crashed")
-                    continue
-                if state.tr is not None and result.payload:
-                    # A pool worker's locally-collected trace rides home
-                    # in the payload; in-process runs traced directly.
-                    state.tr.ingest(result.payload.get("trace") or [])
-                if not journaled_live:
-                    _journal_result(result)
-                state.unit_records[unit.name] = UnitRecord(
-                    unit,
-                    result.status,
-                    payload=result.payload,
-                    error=result.error,
-                    retries=result.retries,
-                    seconds=(result.payload or {}).get("seconds", result.seconds),
-                )
+        if watchdog is not None:
+            watchdog.start()
+        with _in_process_prepass(prepass, resident_prepass):
+            outcome = supervisor.run() if jobs > 1 else supervisor.run_serial()
     finally:
         if watchdog is not None:
             watchdog.stop()
+    state.warnings.extend(outcome.warnings)
+    for unit in pending_units:
+        result = outcome.results.get(unit.name)
+        if result is None:  # defensive: everyone gets an answer
+            state.unit_records[unit.program] = UnitRecord(unit, "crashed")
+            continue
+        if state.tr is not None and result.payload:
+            # A pool worker's locally-collected trace rides home in the
+            # payload; in-process runs traced directly.
+            state.tr.ingest(result.payload.get("trace") or [])
+        state.unit_records[unit.program] = UnitRecord(
+            unit,
+            result.status,
+            payload=result.payload,
+            error=result.error,
+            retries=result.retries,
+            seconds=(result.payload or {}).get("seconds", result.seconds),
+        )
+    degraded, interrupted = outcome.degraded, outcome.interrupted
     if watchdog is not None:
         degraded = degraded or watchdog.degraded
         interrupted = interrupted or watchdog.stop_reason() is not None
@@ -1058,63 +924,48 @@ def _splice_incremental(
 
 
 def _merge(state: _SweepState, jobs: int) -> None:
-    """Fold every unsettled program's unit records back into one
-    outcome, and cache each verdict that came out."""
+    """Turn every unsettled program's unit record into its outcome, and
+    cache each verdict that came out."""
     for info in state.programs:
         if info.name in state.outcomes:
             continue
+        record = state.unit_records.get(info.name) or UnitRecord(
+            state.program_units[info.name], "crashed"
+        )
         inc_plan = state.inc_plans.get(info.name)
         reverified: int | None = None
-        whole = state.unit_records.get(info.name)
-        if whole is not None and whole.unit.group is None:
-            records = [whole]
-        else:
-            records = [
-                state.unit_records.get(u.name) or UnitRecord(u, "crashed")
-                for u in state.program_units[info.name]
-            ]
-        if inc_plan is not None and records[0].status == "report":
-            record, reverified = _splice_incremental(info, records[0], inc_plan)
-            records = [record]
-        merge = merge_program(info, records)
-        outcome = state.outcomes[info.name] = ProgramOutcome(
-            info.name,
-            merge.report,
-            state.fingerprints[info.name],
-            False,
-            merge.seconds,
-            status=merge.status,
-            retries=merge.retries,
-            error=merge.error,
-            units=merge.units,
-            replayed_units=merge.replayed_units,
-            reverified=reverified if merge.report is not None else None,
+        if inc_plan is not None and record.status == "report":
+            record, reverified = _splice_incremental(info, record, inc_plan)
+        outcome = state.outcomes[info.name] = ProgramOutcome.from_record(
+            record, state.fingerprints[info.name]
         )
-        if merge.report is None or state.store is None or state.stop_caching:
+        if outcome.report is None:
+            continue
+        outcome.reverified = reverified
+        if state.store is None or state.stop_caching:
             continue
         obligation_fps = inc_plan.graph.fingerprints if inc_plan else None
         if obligation_fps is None and state.incremental:
             # Cold-entry full run: the collect-while-verifying unit
             # walked the cones in the worker and shipped the fingerprint
             # map home in its payload.
-            for record in records:
-                shipped = (record.payload or {}).get("obligations")
-                if shipped:
-                    obligation_fps = dict(shipped)
-                    break
+            shipped = (record.payload or {}).get("obligations")
+            if shipped:
+                obligation_fps = dict(shipped)
         if state.incremental and reverified is None:
             # Full run under --incremental: every obligation executed
             # (and the stored map, when the walk succeeded, arms the
             # next run's incremental replay).
-            outcome.reverified = len(merge.report.obligations)
+            outcome.reverified = len(outcome.report.obligations)
         state.store_report(
             info.name,
-            merge.report,
+            outcome.report,
             {
-                "seconds": merge.seconds,
+                "seconds": record.seconds,
                 "jobs": jobs,
-                "retries": merge.retries,
-                "units": merge.units,
+                "retries": record.retries,
+                # Entries keep their layout: one unit per program.
+                "units": 1,
             },
             obligation_fps,
         )
@@ -1132,10 +983,8 @@ def sweep(
     retries: int = 1,
     backoff: float = 0.25,
     faults: FaultPlan | str | None = None,
-    supervised: bool = True,
     journal: bool = True,
     resume: bool = False,
-    split_obligations: bool = False,
     incremental: bool = False,
     max_rss_mb: float | None = None,
     max_disk_mb: float | None = None,
@@ -1156,15 +1005,12 @@ def sweep(
     (pool path only); ``retries`` re-dispatches crashed/timed-out/raised
     units with exponential ``backoff``.  ``faults`` installs a
     deterministic :class:`~repro.engine.faults.FaultPlan` (or its string
-    spec) for the sweep — the chaos harness.  ``supervised=False``
-    selects the bare ``pool.map`` baseline (benchmarking only).
+    spec) for the sweep — the chaos harness.
 
     ``journal`` (default on) records every unit's lifecycle in the
     durable sweep journal; ``resume=True`` first replays verdict-bearing
     unit records from it — fingerprint-gated, so an edited program
-    re-runs fresh.  ``split_obligations`` decomposes each program into
-    per-obligation-category work units (see :mod:`repro.engine.queue`)
-    whose partial reports are merged back per program.
+    re-runs fresh.
 
     ``incremental`` (fcsl-deps, ``repro verify --incremental``) keys
     replay per *obligation*: a program whose whole-program fingerprint
@@ -1172,7 +1018,7 @@ def sweep(
     fingerprints of its cache entry, and only obligations whose cone
     contains the edit re-execute.  Every fall-back degrades to the full
     verification; tests/test_incremental.py gates equality with a cold
-    run.  It needs the cache and excludes ``split_obligations``.
+    run.  It needs the cache.
 
     ``max_rss_mb``/``max_disk_mb`` arm the resource watchdog (soft
     budgets, MiB): at 70% parallelism is shed; at 85% explorer caps
@@ -1183,8 +1029,8 @@ def sweep(
     ``on_lease(unit_name, attempt, lease_seconds)`` and
     ``on_result(TaskResult)`` are best-effort progress taps (the serve
     daemon streams them to its clients).  ``resident_prepass`` is a
-    caller-owned prepass for the ``jobs == 1`` path (see
-    :func:`_serial_results`).  Every requested program gets an outcome:
+    caller-owned pre-pass for every unit run in this process (see
+    :func:`_in_process_prepass`).  Every requested program gets an outcome:
     infrastructure faults quarantine a program instead of killing the run.
     """
     started = time.perf_counter()
@@ -1192,12 +1038,6 @@ def sweep(
     plan = FaultPlan.parse(faults) if isinstance(faults, str) else faults
     store = ObligationCache(cache_dir) if cache else None
     cache_root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    split = bool(split_obligations)
-    if incremental and split:
-        raise ValueError(
-            "incremental and split_obligations are mutually exclusive: "
-            "incremental units are already per-obligation slices"
-        )
     if incremental and store is None:
         raise ValueError(
             "incremental re-verification needs the obligation cache "
@@ -1207,10 +1047,9 @@ def sweep(
     state = _SweepState(
         programs=programs,
         fingerprints={info.name: program_fingerprint(info) for info in programs},
-        program_units={info.name: units_for(info, split=split) for info in programs},
+        program_units={info.name: WorkUnit(info) for info in programs},
         store=store,
         journal=SweepJournal(jpath) if journal else None,
-        split=split,
         incremental=incremental,
         tr=tr,
     )
@@ -1230,7 +1069,6 @@ def sweep(
             jobs=jobs,
             prepass=prepass,
             resident_prepass=resident_prepass,
-            supervised=supervised,
             timeout=timeout,
             retries=retries,
             backoff=backoff,

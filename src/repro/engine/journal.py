@@ -6,10 +6,9 @@ program stores, and the ``SweepResult`` lives in the dying process.  The
 journal closes that gap with an append-only, fsync'd record of every
 work unit's lifecycle:
 
-* ``sweep:start`` — the unit decomposition, per-program content
-  fingerprints and verdict-relevant flags of a fresh sweep (the file is
-  truncated first: one journal per cache directory, covering the most
-  recent sweep);
+* ``sweep:start`` — the unit ids, per-program content fingerprints and
+  verdict-relevant flags of a fresh sweep (the file is truncated first:
+  one journal per cache directory, covering the most recent sweep);
 * ``sweep:resume`` — a resumed sweep appends instead of truncating, so
   a resume that itself crashes remains resumable;
 * ``unit:leased`` — a unit was handed to a worker, with its attempt
@@ -17,8 +16,9 @@ work unit's lifecycle:
   lease that never reaches ``unit:done`` is exactly what resume
   re-executes;
 * ``unit:done`` — a unit finished with a verdict payload (the
-  serialized partial/full :class:`~repro.core.verify.VerificationReport`),
-  or was replayed from the obligation cache (``via="cache"``);
+  serialized :class:`~repro.core.verify.VerificationReport`, partial for
+  an incremental unit), or was replayed from the obligation cache
+  (``via="cache"``);
 * ``unit:failed`` — a unit ended in an infrastructure status
   (``error``/``timeout``/``crashed``): recorded for forensics, but
   *re-executed* on resume — a quarantine is not a verdict;
@@ -167,7 +167,6 @@ class SweepJournal:
         fingerprints: dict[str, str],
         units: list[str],
         *,
-        mode: str,
         resume: bool = False,
         flags: dict[str, Any] | None = None,
     ) -> None:
@@ -177,7 +176,6 @@ class SweepJournal:
         self._append(
             {
                 "event": "sweep:resume" if resume else "sweep:start",
-                "mode": mode,
                 "fingerprints": fingerprints,
                 "units": units,
                 "flags": flags or {},
@@ -211,7 +209,6 @@ class SweepJournal:
         self,
         unit_id: str,
         program: str,
-        group: str | None,
         status: str,
         *,
         payload: dict[str, Any] | None = None,
@@ -231,7 +228,6 @@ class SweepJournal:
                 "event": "unit:done" if verdict else "unit:failed",
                 "unit": unit_id,
                 "program": program,
-                "group": group,
                 "status": status,
                 "payload": payload if verdict else None,
                 "error": error,
@@ -262,8 +258,6 @@ class JournalImage:
 
     #: Last-seen fingerprint per program (``sweep:start`` + resumes).
     fingerprints: dict[str, str] = field(default_factory=dict)
-    #: Unit decomposition mode of the journaled sweep.
-    mode: str = "program"
     #: Last verdict-bearing record per unit id.
     done: dict[str, dict[str, Any]] = field(default_factory=dict)
     #: True when a terminal ``sweep:end`` record exists (clean finish).
@@ -287,7 +281,6 @@ def load_image(path: Path | str) -> JournalImage:
         if event in ("sweep:start", "sweep:resume"):
             image.exists = True
             image.completed = False
-            image.mode = record.get("mode", image.mode)
             fingerprints = record.get("fingerprints")
             if isinstance(fingerprints, dict):
                 image.fingerprints.update(fingerprints)

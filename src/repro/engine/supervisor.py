@@ -1,9 +1,9 @@
-"""Supervised parallel dispatch: the fault-tolerant half of the engine.
+"""Supervised dispatch: the fault-tolerant half of the engine.
 
-PR-2's pool phase was a bare ``pool.map``: the first worker exception
-killed the whole sweep, a diverging verifier blocked it forever, and an
-OOM-killed worker lost every completed verdict.  The supervisor replaces
-it with per-program ``apply_async`` dispatch under active supervision:
+A bare ``pool.map`` dies with the first worker exception, blocks forever
+on a diverging verifier, and loses every completed verdict to one
+OOM-killed worker.  The supervisor instead dispatches each work unit
+with ``apply_async`` under active supervision:
 
 * **per-program timeouts** — a task has a deadline from the moment it is
   handed to a worker (submission is windowed to ``jobs`` tasks, so queue
@@ -25,6 +25,11 @@ it with per-program ``apply_async`` dispatch under active supervision:
   fails — no ``/dev/shm``, semaphore exhaustion — the remaining tasks
   run serially in-process and the sweep is marked *degraded* rather
   than dead.
+
+The in-process serial runner (:meth:`Supervisor.run_serial`) is the one
+loop both ``--jobs 1`` and that degraded fallback use: no pool, no
+timeouts, the same :class:`TaskResult` for every task, and the caller's
+installed pre-pass for every in-process unit.
 
 The supervisor never raises for a task-level fault: every program ends
 in a :class:`TaskResult` whose ``status`` says what happened, and the
@@ -194,7 +199,6 @@ class Supervisor:
         worker: Callable[..., dict[str, Any]],
         config: SupervisorConfig,
         initializer: Callable[[], None] | None = None,
-        serial_worker: Callable[..., dict[str, Any]] | None = None,
         on_lease: Callable[[str, int, float | None], None] | None = None,
         on_result: Callable[[TaskResult], None] | None = None,
     ):
@@ -202,7 +206,6 @@ class Supervisor:
         self.worker = worker
         self.config = config
         self.initializer = initializer
-        self.serial_worker = serial_worker or worker
         #: Incremental hooks for the durable journal: ``on_lease(name,
         #: attempt, timeout)`` as a task goes in-flight, ``on_result``
         #: the moment a task reaches its final :class:`TaskResult` —
@@ -214,19 +217,32 @@ class Supervisor:
         self._pool = None
         self._queue = None
 
-    def _notify_lease(self, task: "_Task") -> None:
+    def _notify_lease(self, task: "_Task", lease: float | None) -> None:
         if self.on_lease is not None:
             try:
-                self.on_lease(task.name, task.attempt, self.config.timeout)
+                self.on_lease(task.name, task.attempt, lease)
             except Exception:  # noqa: BLE001 - journaling must not kill dispatch
                 pass
 
-    def _notify_result(self, result: TaskResult) -> None:
+    def _settle(
+        self, task: "_Task", results: dict[str, TaskResult], result: TaskResult
+    ) -> None:
+        """Record ``task``'s final result and report it at once."""
+        task.done = results[task.name] = result
         if self.on_result is not None:
             try:
                 self.on_result(result)
             except Exception:  # noqa: BLE001 - journaling must not kill dispatch
                 pass
+
+    def _stop_reason(self) -> str | None:
+        """The ``should_stop`` probe's answer (a sick probe never stalls)."""
+        if self.config.should_stop is None:
+            return None
+        try:
+            return self.config.should_stop()
+        except Exception:  # noqa: BLE001 - probe bugs never stall
+            return None
 
     # -- pool lifecycle --------------------------------------------------------
 
@@ -263,27 +279,35 @@ class Supervisor:
     # -- the supervision loop --------------------------------------------------
 
     def run(self) -> SupervisionOutcome:
+        """Run the batch on a supervised pool; if the pool cannot be
+        (re)built, finish it with :meth:`run_serial`, marked degraded."""
         tasks = [_Task(info) for info in self.programs]
         results: dict[str, TaskResult] = {}
-        self._queue = multiprocessing.SimpleQueue()
+        try:
+            interrupted = self._run_pool(tasks, results)
+        except _Degraded:
+            outcome = self.run_serial(tasks, results)
+            outcome.degraded = True
+            return outcome
+        return SupervisionOutcome(
+            results, interrupted=interrupted, warnings=self.warnings
+        )
+
+    def _run_pool(self, tasks: list[_Task], results: dict[str, TaskResult]) -> bool:
+        """Supervise ``tasks`` on a fresh pool, torn down on return;
+        raises :class:`_Degraded` when no pool can be had."""
         global _announce_queue
-        _announce_queue = self._queue
         try:
             try:
+                self._queue = _announce_queue = multiprocessing.SimpleQueue()
                 self._pool = self._make_pool()
             except Exception as exc:  # noqa: BLE001 - no pool at all: degrade
                 self.warnings.append(
                     f"pool creation failed ({type(exc).__name__}: {exc}); "
                     "running serially in-process"
                 )
-                return self._run_serial(tasks, results)
-            try:
-                interrupted = self._supervise(tasks, results)
-            except _Degraded:
-                return self._run_serial(tasks, results)
-            return SupervisionOutcome(
-                results, interrupted=interrupted, warnings=self.warnings
-            )
+                raise _Degraded() from exc
+            return self._supervise(tasks, results)
         finally:
             _announce_queue = None
             self._teardown_pool()
@@ -306,13 +330,16 @@ class Supervisor:
     ) -> None:
         for task in tasks:
             if task.done is None:
-                task.done = results[task.name] = TaskResult(
-                    task.name,
-                    "interrupted",
-                    retries=task.retries,
-                    seconds=task.elapsed(),
+                self._settle(
+                    task,
+                    results,
+                    TaskResult(
+                        task.name,
+                        "interrupted",
+                        retries=task.retries,
+                        seconds=task.elapsed(),
+                    ),
                 )
-                self._notify_result(task.done)
         self.warnings.append(reason)
 
     def _supervise(self, tasks: list[_Task], results: dict[str, TaskResult]) -> bool:
@@ -320,19 +347,15 @@ class Supervisor:
         active: dict[str, _Task] = {}
         try:
             while waiting or active:
-                if self.config.should_stop is not None:
-                    try:
-                        stop = self.config.should_stop()
-                    except Exception:  # noqa: BLE001 - probe bugs never stall
-                        stop = None
-                    if stop is not None:
-                        self._mark_pending_interrupted(
-                            tasks,
-                            results,
-                            f"sweep checkpointed: {stop}; pending programs "
-                            "marked 'interrupted', completed verdicts preserved",
-                        )
-                        return True
+                stop = self._stop_reason()
+                if stop is not None:
+                    self._mark_pending_interrupted(
+                        tasks,
+                        results,
+                        f"sweep checkpointed: {stop}; pending programs "
+                        "marked 'interrupted', completed verdicts preserved",
+                    )
+                    return True
                 now = time.monotonic()
                 while waiting and len(active) < self._window():
                     ready = next((t for t in waiting if t.not_before <= now), None)
@@ -387,7 +410,7 @@ class Supervisor:
             except Exception as again:  # noqa: BLE001 - fresh pool broken too
                 raise _Degraded() from again
         active[task.name] = task
-        self._notify_lease(task)
+        self._notify_lease(task, self.config.timeout)
         _trace_instant(
             "supervisor:submit", "engine", program=task.name, attempt=task.attempt
         )
@@ -428,15 +451,7 @@ class Supervisor:
                     )),
                 )
                 continue
-            task.done = results[name] = TaskResult(
-                name,
-                payload.get("status", "report"),
-                payload=payload,
-                error=payload.get("error"),
-                retries=task.retries,
-                seconds=task.elapsed(),
-            )
-            self._notify_result(task.done)
+            self._settle(task, results, _payload_result(task, payload))
             _trace_instant(
                 "supervisor:collect",
                 "engine",
@@ -545,101 +560,95 @@ class Supervisor:
             )
             waiting.append(task)
             return
-        task.done = results[task.name] = TaskResult(
-            task.name,
-            kind,
-            error=error,
-            retries=task.retries,
-            seconds=task.elapsed(),
+        self._settle(
+            task,
+            results,
+            TaskResult(
+                task.name,
+                kind,
+                error=error,
+                retries=task.retries,
+                seconds=task.elapsed(),
+            ),
         )
-        self._notify_result(task.done)
 
-    # -- serial degradation ----------------------------------------------------
+    # -- the in-process serial runner -----------------------------------------
 
-    def _run_serial(
-        self, tasks: list[_Task], results: dict[str, TaskResult]
+    def run_serial(
+        self,
+        tasks: list[_Task] | None = None,
+        results: dict[str, TaskResult] | None = None,
     ) -> SupervisionOutcome:
-        self._teardown_pool()
+        """Run every unfinished task in this process, one at a time: the
+        ``--jobs 1`` path, and how :meth:`run` finishes a batch whose
+        pool is gone (a task keeps the attempt and retries it reached).
+
+        Timeouts and crash isolation need a process boundary and do not
+        apply here, so leases carry no deadline.  A verifier exception
+        becomes an ``error`` result; a KeyboardInterrupt or a
+        ``should_stop`` checkpoint marks the current and every later
+        task ``interrupted`` — each completed task already reached
+        ``on_result``.  The tasks run under whatever pre-pass the caller
+        installed.
+        """
+        if tasks is None:
+            tasks = [_Task(info) for info in self.programs]
+        results = {} if results is None else results
         interrupted = False
         for task in tasks:
             if task.done is not None:
                 continue
-            if not interrupted and self.config.should_stop is not None:
-                try:
-                    stop = self.config.should_stop()
-                except Exception:  # noqa: BLE001 - probe bugs never stall
-                    stop = None
+            if not interrupted:
+                stop = self._stop_reason()
                 if stop is not None:
                     interrupted = True
                     self.warnings.append(f"sweep checkpointed: {stop}")
             if interrupted:
-                task.done = results[task.name] = TaskResult(
-                    task.name, "interrupted", retries=task.retries
+                self._settle(
+                    task,
+                    results,
+                    TaskResult(task.name, "interrupted", retries=task.retries),
                 )
-                self._notify_result(task.done)
                 continue
-            started = time.monotonic()
-            self._notify_lease(task)
+            task.started = time.monotonic()
+            self._notify_lease(task, None)
             try:
-                payload = self.serial_worker(task.info, task.attempt)
+                payload = self.worker(task.info, task.attempt)
             except KeyboardInterrupt:
                 interrupted = True
-                task.done = results[task.name] = TaskResult(
+                result = TaskResult(
                     task.name,
                     "interrupted",
                     retries=task.retries,
-                    seconds=time.monotonic() - started,
+                    seconds=task.elapsed(),
                 )
-                self._notify_result(task.done)
-                continue
-            except Exception as exc:  # noqa: BLE001 - report, don't die
-                task.done = results[task.name] = TaskResult(
+            except Exception as exc:  # noqa: BLE001 - e.g. an injected 'raise'
+                result = TaskResult(
                     task.name,
                     "error",
                     error=exc_payload(exc),
                     retries=task.retries,
-                    seconds=time.monotonic() - started,
+                    seconds=task.elapsed(),
                 )
-                self._notify_result(task.done)
-                continue
-            task.done = results[task.name] = TaskResult(
-                task.name,
-                payload.get("status", "report"),
-                payload=payload,
-                error=payload.get("error"),
-                retries=task.retries,
-                seconds=time.monotonic() - started,
-            )
-            self._notify_result(task.done)
+            else:
+                result = _payload_result(task, payload)
+            self._settle(task, results, result)
         return SupervisionOutcome(
-            results,
-            degraded=True,
-            interrupted=interrupted,
-            warnings=self.warnings,
+            results, interrupted=interrupted, warnings=self.warnings
         )
+
+
+def _payload_result(task: _Task, payload: dict[str, Any]) -> TaskResult:
+    """The result of an attempt that returned ``payload``."""
+    return TaskResult(
+        task.name,
+        payload.get("status", "report"),
+        payload=payload,
+        error=payload.get("error"),
+        retries=task.retries,
+        seconds=task.elapsed(),
+    )
 
 
 class _Degraded(Exception):
     """Internal control flow: the pool is unrecoverable, go serial."""
-
-
-def supervise(
-    programs: Sequence[Any],
-    *,
-    worker: Callable[..., dict[str, Any]],
-    config: SupervisorConfig,
-    initializer: Callable[[], None] | None = None,
-    serial_worker: Callable[..., dict[str, Any]] | None = None,
-    on_lease: Callable[[str, int, float | None], None] | None = None,
-    on_result: Callable[[TaskResult], None] | None = None,
-) -> SupervisionOutcome:
-    """Run ``programs`` under supervision; every program gets a result."""
-    return Supervisor(
-        programs,
-        worker=worker,
-        config=config,
-        initializer=initializer,
-        serial_worker=serial_worker,
-        on_lease=on_lease,
-        on_result=on_result,
-    ).run()

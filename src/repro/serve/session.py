@@ -58,6 +58,11 @@ Emit = Callable[[dict[str, Any]], None]
 ANALYSIS_OPS = ("verify", "lint", "race", "live", "deps")
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer (``true``/``false`` are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Session:
     """Resident state + the serialized request dispatcher."""
 
@@ -211,6 +216,16 @@ class Session:
                 request.id, "bad-request", "'programs' must be a list of names"
             )
         jobs = p.get("jobs", self.jobs)
+        retries = p.get("retries", 1)
+        timeout = p.get("timeout")
+        if not (jobs is None or _is_int(jobs)) or not _is_int(retries):
+            return error_frame(
+                request.id, "bad-request", "'jobs' and 'retries' must be integers"
+            )
+        if not (timeout is None or _is_int(timeout) or isinstance(timeout, float)):
+            return error_frame(
+                request.id, "bad-request", "'timeout' must be a number of seconds"
+            )
         cache = bool(p.get("cache", True))
         # Incremental replay needs the cache; degrade rather than refuse.
         incremental = bool(p.get("incremental", True)) and cache
@@ -241,13 +256,13 @@ class Session:
                 cache=cache,
                 cache_dir=self.cache_dir,
                 liveness=bool(p.get("liveness", False)),
-                timeout=p.get("timeout"),
-                retries=int(p.get("retries", 1)),
+                timeout=timeout,
+                retries=retries,
                 journal=False,  # daemon sweeps are short; the cache persists
                 incremental=incremental,
                 on_lease=on_lease,
                 on_result=on_result,
-                resident_prepass=self.prepass if jobs in (None, 1) else None,
+                resident_prepass=self.prepass,
             )
         except KeyError as exc:
             return error_frame(request.id, "bad-request", str(exc.args[0]))

@@ -5,7 +5,7 @@ studies) with journaling into a caller-chosen cache directory, and
 prints the bits the test asserts on as one JSON object.  Invoked as::
 
     python tests/_durability_driver.py CACHE_DIR [--resume] \
-        [--faults SPEC] [--split] [--jobs N]
+        [--faults SPEC] [--jobs N]
 
 The test SIGKILLs this process mid-sweep via an injected ``sigkill``
 fault, re-invokes it with ``--resume``, and compares the output against
@@ -66,7 +66,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("cache_dir")
     parser.add_argument("--resume", action="store_true")
     parser.add_argument("--faults", default=None)
-    parser.add_argument("--split", action="store_true")
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
@@ -78,7 +77,6 @@ def main(argv: list[str] | None = None) -> int:
         prepass=False,
         faults=args.faults,
         resume=args.resume,
-        split_obligations=args.split,
     )
     verdicts = {
         o.name: {

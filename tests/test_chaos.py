@@ -312,6 +312,33 @@ class TestDegradedPool:
         assert result.exit_code() == EXIT_INFRA
         assert any("pool creation failed" in w for w in result.warnings)
 
+    def test_degraded_sweep_honours_no_prepass(self, monkeypatch):
+        import multiprocessing
+
+        from repro.analysis.prepass import static_prepass
+        from repro.core.verify import get_prepass
+        from repro.engine import run_sweep
+
+        def no_pool(*args, **kwargs):
+            raise OSError("semaphore exhaustion")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        # Two programs, so jobs=2 really asks for a pool (one program
+        # would clamp to the serial path without degrading).
+        with static_prepass() as outer:
+            result = run_sweep(
+                ["CAS-lock", "Ticketed lock"],
+                jobs=2,
+                cache=False,
+                journal=False,
+                prepass=False,
+            )
+            assert get_prepass() is outer
+        assert result.degraded
+        assert outer.consulted == 0
+        assert [o.to_dict()["prepass_skips"] for o in result.outcomes] == [0, 0]
+        assert all(o.report is not None and o.report.ok for o in result.outcomes)
+
 
 class TestKeyboardInterrupt:
     def test_serial_interrupt_returns_partial_result(self):

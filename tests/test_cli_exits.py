@@ -50,12 +50,20 @@ def test_verify_bad_fault_spec_is_usage_error(capsys):
         ["verify", "--symmetry"],
         ["verify", "--explore-jobs", "2"],
         ["profile", "--por"],
+        ["verify", "--split-obligations"],
     ],
-    ids=["verify-por", "verify-symmetry", "verify-explore-jobs", "profile-por"],
+    ids=[
+        "verify-por",
+        "verify-symmetry",
+        "verify-explore-jobs",
+        "profile-por",
+        "verify-split",
+    ],
 )
 def test_removed_exploration_flags_are_usage_errors(argv, capsys):
-    # Partial-order reduction, symmetry reduction and sharded exploration
-    # are gone; their flags are unknown arguments, rejected before any sweep.
+    # Partial-order reduction, symmetry reduction, sharded exploration and
+    # per-obligation-group work units are gone; their flags are unknown
+    # arguments, rejected before any sweep.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

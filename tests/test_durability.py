@@ -100,22 +100,6 @@ class TestHardCrashResume:
         assert out["replayed_units"] >= 1
         assert ref["replayed_units"] == 0
 
-    def test_sigkill_resume_with_split_obligations(self, tmp_path):
-        crashed = _run_driver(
-            tmp_path / "cache",
-            "--split",
-            "--faults", "Alpha:sigkill@2",
-        )
-        assert crashed.returncode == -signal.SIGKILL
-        resumed = _run_driver(tmp_path / "cache", "--split", "--resume")
-        reference = _run_driver(tmp_path / "reference", "--split")
-        out = json.loads(resumed.stdout)
-        ref = json.loads(reference.stdout)
-        assert out["verdicts"] == ref["verdicts"]
-        assert out["exit_code"] == ref["exit_code"]
-        # Two group units were journaled before the kill on attempt 2.
-        assert out["replayed_units"] >= 2
-
     def test_resume_without_journal_warns_and_runs_fully(self, tmp_path):
         proc = _run_driver(tmp_path / "cache", "--resume")
         out = json.loads(proc.stdout)

@@ -106,17 +106,6 @@ class TestIncrementalEngine:
         with pytest.raises(ValueError, match="needs the obligation cache"):
             sweep([info], jobs=1, cache=False, incremental=True)
 
-    def test_incremental_excludes_split(self, inc_program, tmp_path):
-        info, __ = inc_program
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            sweep(
-                [info],
-                jobs=1,
-                cache_dir=tmp_path / "cache",
-                incremental=True,
-                split_obligations=True,
-            )
-
     def test_cold_run_stores_the_obligation_map(self, inc_program, tmp_path):
         info, __ = inc_program
         cache_dir = tmp_path / "cache"

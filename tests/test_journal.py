@@ -1,5 +1,5 @@
 """Unit tests for the durability layer: the sweep journal, the work
-queue decomposition/merge, and the resource watchdog ladder.
+unit and its outcome, and the resource watchdog ladder.
 
 The journal is exercised at the record level (CRC framing, torn-tail
 tolerance, latest-wins image folding) without running sweeps; sweeps
@@ -12,19 +12,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.verify import CATEGORIES, ReportBuilder, VerificationReport
+from repro.core.verify import ReportBuilder, VerificationReport
 from repro.engine import (
     JOURNAL_SCHEMA_VERSION,
+    ProgramOutcome,
     SweepJournal,
     UnitRecord,
     WorkUnit,
-    decompose,
     journal_path,
     load_image,
-    merge_program,
     read_journal,
-    unit_mode,
-    units_for,
 )
 from repro.engine.journal import _decode, _encode
 from repro.engine.watchdog import (
@@ -97,7 +94,6 @@ class TestJournalLifecycle:
         sj.begin(
             {"Alpha": "f-a", "Beta": "f-b"},
             ["Alpha", "Beta"],
-            mode="program",
             resume=resume,
         )
 
@@ -106,7 +102,7 @@ class TestJournalLifecycle:
         self._begin(sj)
         sj.unit_leased("Alpha", "Alpha", attempt=1, lease_seconds=5.0)
         sj.unit_done(
-            "Alpha", "Alpha", None, "report",
+            "Alpha", "Alpha", "report",
             payload={"report": _report("Alpha").to_dict()},
         )
         image = load_image(sj.path)
@@ -121,7 +117,7 @@ class TestJournalLifecycle:
         sj = SweepJournal(tmp_path / "j.jsonl")
         self._begin(sj)
         sj.unit_done(
-            "Alpha", "Alpha", None, "report",
+            "Alpha", "Alpha", "report",
             payload={"report": _report("Alpha").to_dict()},
         )
         image = load_image(sj.path)
@@ -131,10 +127,10 @@ class TestJournalLifecycle:
         sj = SweepJournal(tmp_path / "j.jsonl")
         self._begin(sj)
         sj.unit_done(
-            "Alpha", "Alpha", None, "report",
+            "Alpha", "Alpha", "report",
             payload={"report": _report("Alpha").to_dict()},
         )
-        sj.unit_done("Alpha", "Alpha", None, "crashed", error={"type": "X"})
+        sj.unit_done("Alpha", "Alpha", "crashed", error={"type": "X"})
         image = load_image(sj.path)
         assert image.replayable("Alpha", "Alpha", "f-a") is None
 
@@ -142,7 +138,7 @@ class TestJournalLifecycle:
         sj = SweepJournal(tmp_path / "j.jsonl")
         self._begin(sj)
         sj.unit_done(
-            "Alpha", "Alpha", None, "report",
+            "Alpha", "Alpha", "report",
             payload={"report": _report("Alpha").to_dict()},
         )
         sj.close()
@@ -155,7 +151,7 @@ class TestJournalLifecycle:
         sj = SweepJournal(tmp_path / "j.jsonl")
         self._begin(sj)
         sj.unit_done(
-            "Alpha", "Alpha", None, "report",
+            "Alpha", "Alpha", "report",
             payload={"report": _report("Alpha").to_dict()},
         )
         sj.close()
@@ -188,7 +184,7 @@ class TestJournalLifecycle:
         sj.unit_leased("Alpha", "Alpha", attempt=1, lease_seconds=None)
         assert sj.broken is not None
         # Subsequent appends are silent no-ops.
-        sj.unit_done("Alpha", "Alpha", None, "report", payload={"report": {}})
+        sj.unit_done("Alpha", "Alpha", "report", payload={"report": {}})
         sj.finish(0)
 
 
@@ -197,85 +193,42 @@ class TestJournalLifecycle:
 
 class TestWorkQueue:
     def test_program_mode_is_identity(self):
-        infos = [_mk("Alpha"), _mk("Beta")]
-        units = decompose(infos)
+        units = [WorkUnit(_mk("Alpha")), WorkUnit(_mk("Beta"), collect_deps=True)]
         assert [u.name for u in units] == ["Alpha", "Beta"]
-        assert all(u.group is None for u in units)
-        assert unit_mode(False) == "program"
-
-    def test_group_mode_fans_out_per_category(self):
-        units = decompose([_mk("Alpha")], split=True)
-        assert [u.name for u in units] == [
-            f"Alpha::{c}" for c in CATEGORIES
-        ]
-        assert [u.group for u in units] == list(CATEGORIES)
-        assert all(u.program == "Alpha" for u in units)
-        assert unit_mode(True) == "group"
-
-    def test_merge_concatenates_partial_reports(self):
-        info = _mk("Alpha")
-        units = units_for(info, split=True)
-        records = [
-            UnitRecord(
-                u, "report",
-                payload={"report": _report("Alpha").to_dict()},
-                seconds=0.5,
-                retries=1,
-            )
-            for u in units[:2]
-        ]
-        merge = merge_program(info, records)
-        assert merge.status == "ok"
-        assert len(merge.report.obligations) == 2
-        assert merge.retries == 2
-        assert merge.seconds == pytest.approx(1.0)
-        assert merge.units == 2
+        assert [u.program for u in units] == ["Alpha", "Beta"]
 
     def test_any_infra_unit_quarantines_the_program(self):
-        info = _mk("Alpha")
-        units = units_for(info, split=True)
-        records = [
-            UnitRecord(
-                units[0], "report",
-                payload={"report": _report("Alpha").to_dict()},
-            ),
-            UnitRecord(units[1], "timeout", error={"type": "Timeout"}),
-            UnitRecord(units[2], "crashed", error={"type": "WorkerCrash"}),
-        ]
-        merge = merge_program(info, records)
-        assert merge.report is None
-        assert merge.status == "crashed"  # worst wins
-        assert merge.error == {"type": "WorkerCrash"}
+        record = UnitRecord(
+            WorkUnit(_mk("Alpha")), "timeout", error={"type": "Timeout"},
+            retries=1, seconds=0.5,
+        )
+        outcome = ProgramOutcome.from_record(record, "f-a")
+        assert outcome.report is None and outcome.quarantined
+        assert outcome.status == "timeout"
+        assert outcome.error == {"type": "Timeout"}
+        assert outcome.retries == 1
+        assert outcome.seconds == pytest.approx(0.5)
 
     def test_failed_verdict_is_not_infra(self):
-        info = _mk("Alpha")
-        (unit,) = units_for(info)
-        merge = merge_program(
-            info,
-            [
-                UnitRecord(
-                    unit, "report",
-                    payload={"report": _report("Alpha", ok=False).to_dict()},
-                )
-            ],
+        record = UnitRecord(
+            WorkUnit(_mk("Alpha")), "report",
+            payload={"report": _report("Alpha", ok=False).to_dict()},
         )
-        assert merge.status == "failed"
-        assert merge.report is not None and not merge.report.ok
+        outcome = ProgramOutcome.from_record(record, "f-a")
+        assert outcome.status == "failed" and not outcome.quarantined
+        assert outcome.report is not None and not outcome.report.ok
+        assert outcome.error is None
 
     def test_replayed_units_are_counted(self):
-        info = _mk("Alpha")
-        (unit,) = units_for(info)
-        merge = merge_program(
-            info,
-            [
-                UnitRecord(
-                    unit, "report",
-                    payload={"report": _report("Alpha").to_dict()},
-                    replayed=True,
-                )
-            ],
+        record = UnitRecord(
+            WorkUnit(_mk("Alpha")), "report",
+            payload={"report": _report("Alpha").to_dict()},
+            replayed=True,
         )
-        assert merge.replayed_units == 1
+        outcome = ProgramOutcome.from_record(record, "f-a")
+        assert outcome.status == "ok"
+        assert outcome.replayed_units == 1 and outcome.replayed
+        assert "units" not in outcome.to_dict()
 
 
 # -- the resource watchdog -----------------------------------------------------
@@ -362,6 +315,7 @@ class TestWatchdog:
     def test_workunit_pickles(self):
         import pickle
 
-        unit = WorkUnit(_mk("Alpha"), "Main")
+        unit = WorkUnit(_mk("Alpha"), names=frozenset({"one"}))
         clone = pickle.loads(pickle.dumps(unit))
-        assert clone.name == "Alpha::Main" and clone.group == "Main"
+        assert clone.name == unit.name and clone.name.startswith("Alpha::inc-")
+        assert clone.names == frozenset({"one"})

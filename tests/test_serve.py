@@ -165,6 +165,22 @@ class TestDaemon:
         assert frame["code"] == "bad-request"
         assert frame["exit_code"] == 2
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"jobs": "two"}, {"retries": [1]}, {"timeout": "soon"}],
+        ids=["jobs", "retries", "timeout"],
+    )
+    def test_malformed_verify_params_are_usage_errors(self, daemon, params):
+        frame = call(
+            "verify",
+            {"programs": ["CAS-lock"], **params},
+            socket_path=daemon.socket_path,
+        )
+        assert frame["type"] == "error"
+        assert frame["code"] == "bad-request"
+        assert frame["exit_code"] == 2
+        assert call("status", socket_path=daemon.socket_path)["exit_code"] == 0
+
     def test_ack_precedes_result(self, daemon):
         events = []
         frame = call("status", socket_path=daemon.socket_path, on_event=events.append)

@@ -2,11 +2,11 @@
 
 A verdict may depend only on the program and the options a sweep ran it
 with: the obligation cache replays verdicts on exactly that assumption.
-Liveness, the explorer cap scale and the obligation-group and
-obligation-name filters therefore live in one :class:`VerifyOptions`
-install (repro.core.verify), and the environment variables that once
-mirrored them must change nothing — neither a cold sweep nor the cache
-entry it stores.
+Liveness, the explorer cap scale and the obligation-name filter
+therefore live in one :class:`VerifyOptions` install
+(repro.core.verify), and the environment variables that once mirrored
+them (or the obligation-group filter, now gone) must change nothing —
+neither a cold sweep nor the cache entry it stores.
 """
 
 from __future__ import annotations
