@@ -35,8 +35,8 @@ entry points.
   found, 0 when the program verifies cleanly (nothing to explain).
 * ``python -m repro serve`` — the resident verification daemon: keeps
   the registry, static pre-pass, fingerprints and obligation cache warm
-  and answers versioned JSON requests over a Unix socket (optionally
-  HTTP); ``python -m repro watch`` adds the edit-triggered incremental
+  and answers versioned JSON requests over a Unix socket;
+  ``python -m repro watch`` adds the edit-triggered incremental
   re-verification loop, and ``python -m repro client --op ...`` is the
   one-shot RPC helper (docs/SERVING.md).
 
@@ -58,38 +58,30 @@ import sys
 
 
 def _render_diagnostics(args: argparse.Namespace, sweep, tool: str) -> int:
-    """Shared lint/race driver: sweep, select, render, exit-code."""
-    from .analysis import (
+    """lint/race/live/deps sweeps: the shared driver, rendered to stdout
+    with its errors on stderr."""
+    from .analysis.diagnostics import (
         SelectorError,
-        Severity,
         render_json,
         render_text,
-        select,
-        worst_severity,
+        run_diagnostics,
     )
 
     try:
-        reports = sweep(names=args.program or None)
-    except KeyError as exc:
+        diagnostics, code = run_diagnostics(
+            sweep, names=args.program, codes=args.select, strict=args.strict
+        )
+    except (KeyError, SelectorError) as exc:
+        # An unknown program, or a selector that matches nothing, is a
+        # usage error (exit 2), not a deceptively clean report.
         print(f"{tool}: {exc.args[0]}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - analysis crash is infra, not usage
         print(f"{tool}: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    try:
-        diagnostics = select(reports, codes=args.select or None)
-    except SelectorError as exc:
-        # A selector that matches nothing is a usage error (exit 2), not
-        # a deceptively clean report.
-        print(f"{tool}: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(render_json(diagnostics, tool=tool))
-    else:
-        print(render_text(diagnostics, tool=tool))
-    worst = worst_severity(diagnostics)
-    threshold = Severity.WARNING if args.strict else Severity.ERROR
-    return 1 if worst is not None and worst >= threshold else 0
+    render = render_json if args.format == "json" else render_text
+    print(render(diagnostics, tool=tool))
+    return code
 
 
 def _run_lint(args: argparse.Namespace) -> int:
@@ -126,6 +118,7 @@ def _run_deps(args: argparse.Namespace) -> int:
         return _render_diagnostics(args, deps_registry, "fcsl-deps")
 
     from .analysis import render_text
+    from .analysis.diagnostics import dependency_graph
     from .structures.registry import program
 
     try:
@@ -134,18 +127,13 @@ def _run_deps(args: argparse.Namespace) -> int:
         print(f"fcsl-deps: {exc.args[0]}", file=sys.stderr)
         return 2
     try:
-        from .analysis.deps import analyze_obligations
-        from .engine.depgraph import depgraph_from_analysis
-
-        analysis = analyze_obligations(info)
-        graph = depgraph_from_analysis(info, analysis)
+        graph, diagnostics, code = dependency_graph(info)
     except Exception as exc:  # noqa: BLE001 - analysis crash is infra
         print(
             f"fcsl-deps: internal error: {type(exc).__name__}: {exc}",
             file=sys.stderr,
         )
         return 3
-    diagnostics = analysis.diagnostics()
     if diagnostics:
         print(render_text(diagnostics, tool="fcsl-deps"), file=sys.stderr)
     if graph is None:
@@ -154,7 +142,7 @@ def _run_deps(args: argparse.Namespace) -> int:
             "unusable (see diagnostics above); the program verifies fully",
             file=sys.stderr,
         )
-        return 3
+        return code
     if args.format == "dot":
         text = graph.to_dot()
     else:
@@ -368,54 +356,40 @@ def _run_eval(args: argparse.Namespace) -> int:
     )
 
 
-def _build_server(args: argparse.Namespace):
-    """Shared serve/watch construction: session + daemon (not started)."""
-    from .serve import DaemonServer, Session
+def _start_server(args: argparse.Namespace, tool: str):
+    """Shared serve/watch start-up: the started daemon with its signal
+    handlers installed, or the exit code of a refused start (2 for a bad
+    ``--inject`` spec or a live daemon on the socket, 3 when the socket
+    cannot be bound)."""
+    from .engine import FaultPlan, FaultSpecError
+    from .serve import DaemonServer, ServeError, Session
 
-    session = Session(
-        cache_dir=args.cache_dir,
-        jobs=args.jobs,
-        trace_dir=args.trace_dir,
-    )
-    plan = None
-    if getattr(args, "inject", None):
-        from .engine import FaultPlan
-
-        plan = FaultPlan.parse(";".join(args.inject))
-    return DaemonServer(
-        session,
-        socket_path=args.socket,
-        http_port=args.http,
-        faults=plan,
-    )
+    try:
+        plan = FaultPlan.parse(";".join(args.inject)) if args.inject else None
+        session = Session(
+            cache_dir=args.cache_dir, jobs=args.jobs, trace_dir=args.trace_dir
+        )
+        server = DaemonServer(session, socket_path=args.socket, faults=plan)
+        server.start()
+    except (FaultSpecError, ServeError) as exc:
+        print(f"{tool}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"{tool}: cannot bind {args.socket}: {exc}", file=sys.stderr)
+        return 3
+    server.install_signal_handlers()
+    return server
 
 
 def _run_serve(args: argparse.Namespace) -> int:
     """``repro serve``: run the resident daemon until shutdown."""
-    from .engine import FaultSpecError
-    from .serve import ServeError
-
-    try:
-        server = _build_server(args)
-        server.start()
-    except FaultSpecError as exc:
-        print(f"repro-serve: {exc}", file=sys.stderr)
-        return 2
-    except ServeError as exc:
-        print(f"repro-serve: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"repro-serve: cannot bind {args.socket}: {exc}", file=sys.stderr)
-        return 3
     import os
 
-    server.install_signal_handlers()
-    extra = ""
-    if server.http_address is not None:
-        extra = f" (http on {server.http_address[0]}:{server.http_address[1]})"
+    server = _start_server(args, "repro-serve")
+    if isinstance(server, int):
+        return server
     print(
-        f"repro-serve: pid {os.getpid()} listening on "
-        f"{server.socket_path}{extra}",
+        f"repro-serve: pid {os.getpid()} listening on {server.socket_path}",
         file=sys.stderr,
     )
     server.serve_forever()
@@ -426,22 +400,11 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _run_watch(args: argparse.Namespace) -> int:
     """``repro watch``: daemon + poll → fingerprint diff → incremental
     re-verify loop (docs/SERVING.md)."""
-    from .engine import FaultSpecError
-    from .serve import ServeError, Watcher
+    from .serve import Watcher
 
-    try:
-        server = _build_server(args)
-        server.start()
-    except FaultSpecError as exc:
-        print(f"repro-watch: {exc}", file=sys.stderr)
-        return 2
-    except ServeError as exc:
-        print(f"repro-watch: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"repro-watch: cannot bind {args.socket}: {exc}", file=sys.stderr)
-        return 3
-    server.install_signal_handlers()
+    server = _start_server(args, "repro-watch")
+    if isinstance(server, int):
+        return server
     watcher = Watcher(
         server,
         paths=args.paths or [],
@@ -733,14 +696,6 @@ def main(argv: list[str] | None = None) -> int:
             "obligation cache)",
         )
         p.add_argument(
-            "--http",
-            type=int,
-            default=None,
-            metavar="PORT",
-            help="also speak line-delimited JSON over HTTP on "
-            "127.0.0.1:PORT (0 = pick a free port)",
-        )
-        p.add_argument(
             "--jobs",
             type=int,
             default=1,
@@ -772,8 +727,8 @@ def main(argv: list[str] | None = None) -> int:
 
     serve = sub.add_parser(
         "serve",
-        help="run the resident verification daemon (Unix socket, "
-        "optionally HTTP; see docs/SERVING.md)",
+        help="run the resident verification daemon (Unix socket; see "
+        "docs/SERVING.md)",
     )
     add_daemon_options(serve)
 

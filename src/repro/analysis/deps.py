@@ -484,18 +484,6 @@ class _InertCache:
 _INERT = _InertCache()
 
 
-def _instance_values(obj: Any) -> Iterable[Any]:
-    """Instance attribute values: ``__dict__`` plus ``__slots__``."""
-    d = getattr(obj, "__dict__", None)
-    if isinstance(d, dict):
-        yield from d.values()
-    for slot in _class_facts(type(obj))[1]:
-        try:
-            yield getattr(obj, slot)
-        except AttributeError:
-            continue
-
-
 def _instance_items(obj: Any) -> Iterable[tuple[str, Any]]:
     d = getattr(obj, "__dict__", None)
     if isinstance(d, dict):

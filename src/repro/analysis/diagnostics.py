@@ -458,6 +458,43 @@ def worst_severity(diagnostics: Iterable[Diagnostic]) -> Severity | None:
     return max((d.severity for d in diagnostics), default=None)
 
 
+def run_diagnostics(
+    sweep: Callable[..., Iterable[Diagnostic]],
+    *,
+    names: Sequence[str] | None = None,
+    codes: Sequence[str] | None = None,
+    strict: bool = False,
+) -> tuple[list[Diagnostic], int]:
+    """The one diagnostics driver, shared by the ``lint``/``race``/
+    ``live``/``deps`` subcommands and the daemon ops of the same names:
+    sweep ``names`` (all programs when empty), keep the ``codes``
+    selection, and fail on errors (on warnings too with ``strict``).
+
+    Returns the kept diagnostics and the exit code (0 clean, 1
+    findings).  A :class:`KeyError` (unknown program) or
+    :class:`SelectorError` propagates as a usage error; anything else
+    the sweep raises is an analyzer crash.  Callers only render and map
+    those errors.
+    """
+    kept = select(sweep(names=names or None), codes=codes or None)
+    worst = worst_severity(kept)
+    threshold = Severity.WARNING if strict else Severity.ERROR
+    return kept, int(worst is not None and worst >= threshold)
+
+
+def dependency_graph(info: Any) -> tuple[Any, list[Diagnostic], int]:
+    """``deps PROGRAM``: the program's per-obligation dependency graph,
+    its dependency-hygiene diagnostics and the exit code.  The graph is
+    ``None`` (exit 3) when per-obligation fingerprints are unusable: the
+    program then verifies fully."""
+    from ..engine.depgraph import depgraph_from_analysis
+    from .deps import analyze_obligations
+
+    analysis = analyze_obligations(info)
+    graph = depgraph_from_analysis(info, analysis)
+    return graph, analysis.diagnostics(), 0 if graph is not None else 3
+
+
 def render_text(diagnostics: Sequence[Diagnostic], *, tool: str = "fcsl-lint") -> str:
     """The human report: one line per finding plus a summary line."""
     lines = [d.render() for d in diagnostics]

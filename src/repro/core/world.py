@@ -9,7 +9,7 @@ for the dynamic extent of its body.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from ..pcm.base import PCM
 from .concurroid import Concurroid
@@ -47,9 +47,6 @@ class World:
     def labels(self) -> tuple[str, ...]:
         return tuple(self._by_label)
 
-    def owner_of(self, label: str) -> Concurroid:
-        return self._by_label[label]
-
     def pcm_of(self, label: str) -> PCM:
         try:
             return self._pcms[label]
@@ -83,9 +80,6 @@ class World:
         remaining = tuple(c for c in self._concurroids if c is not conc)
         closed = self._closed - frozenset(conc.labels)
         return World(remaining, closed)
-
-    def unit_self(self, label: str) -> Hashable:
-        return self.pcm_of(label).unit
 
     def __repr__(self) -> str:
         names = ", ".join(repr(c) for c in self._concurroids)

@@ -243,10 +243,6 @@ class FaultPlan:
         spec = self.spec_for(program, "cache", self._next_attempt("cache", program))
         return spec.kind if spec is not None else None
 
-    def torn_write(self, program: str) -> bool:
-        """Back-compat shim: whether the next cache write must be torn."""
-        return self.store_fault(program) == "torn"
-
     def disk_fault(self, program: str, where: str) -> None:
         """Disk-site fault point (``diskfull``): raise ``OSError(ENOSPC)``
         if the next durable write at ``where`` (``journal``/``cache``)
@@ -336,11 +332,6 @@ def maybe_inject(program: str, attempt: int) -> None:
     plan = active_plan()
     if plan is not None:
         plan.fire(program, attempt)
-
-
-def maybe_torn_write(program: str) -> bool:
-    """Back-compat cache-side fault point: ``True`` iff torn."""
-    return maybe_store_fault(program) == "torn"
 
 
 def maybe_store_fault(program: str) -> str | None:

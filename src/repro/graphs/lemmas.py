@@ -74,9 +74,6 @@ class MarkedGraph:
     self_marked: frozenset[Ptr]
     other_marked: frozenset[Ptr]
 
-    def all_marked(self) -> frozenset[Ptr]:
-        return self.self_marked | self.other_marked
-
 
 def subgraph(s1: MarkedGraph, s2: MarkedGraph) -> bool:
     """The ``subgraph`` relation of §3.2 between pre- and post-states.

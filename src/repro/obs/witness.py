@@ -225,11 +225,6 @@ _CAPTURED: ContextVar[list[Witness] | None] = ContextVar(
 )
 
 
-def capture_sink() -> list[Witness] | None:
-    """The active capture list, or ``None`` when nobody is collecting."""
-    return _CAPTURED.get()
-
-
 def record(witness: Witness) -> None:
     """Hand a live witness to the active capture scope (no-op outside one)."""
     sink = _CAPTURED.get()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Hashable, Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,6 @@ class PCM(ABC):
     def is_unit(self, x: Hashable) -> bool:
         return x == self.unit
 
-    def defined_join(self, a: Hashable, b: Hashable) -> bool:
-        """Whether ``a • b`` is valid (the paper's ``valid (a \\+ b)``)."""
-        return self.valid(self.join(a, b))
-
     # -- finite model support --------------------------------------------------
 
     def sample(self) -> Sequence[Hashable]:
@@ -114,13 +110,6 @@ class PCM(ABC):
         with richer structure override this.
         """
         return ((self.unit, x), (x, self.unit))
-
-    def sample_pairs(self) -> Iterator[tuple[Hashable, Hashable]]:
-        """All pairs drawn from :meth:`sample` (for binary-law checking)."""
-        elems = self.sample()
-        for a in elems:
-            for b in elems:
-                yield a, b
 
     def __repr__(self) -> str:
         return f"<PCM {self.name}>"

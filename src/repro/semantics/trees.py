@@ -129,7 +129,7 @@ def tree_size(tree: Tree, probe_values: tuple = (None,)) -> int:
         return 1
     if isinstance(tree, TAct):
         return 1 + max(
-            (tree_size(_try_kont(tree.kont, v), probe_values) for v in probe_values),
+            (tree_size(try_kont(tree.kont, v), probe_values) for v in probe_values),
             default=0,
         )
     if isinstance(tree, TPar):
@@ -145,10 +145,6 @@ def try_kont(kont, value):
         return kont(value)
     except Exception:  # noqa: BLE001 - probing with an ill-typed value
         return UNFINISHED
-
-
-#: Backwards-compatible private alias.
-_try_kont = try_kont
 
 
 # -- the independent tree evaluator -----------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 One-shot ``repro verify`` pays process startup, registry import and
 pre-pass warm-up on every run; the serve subsystem keeps all of that
-resident and answers versioned JSON requests over a Unix socket (or
-line-delimited JSON over HTTP), with streamed progress events and the
-repo-wide 0/1/2/3 exit contract embedded in every response.
+resident and answers versioned, line-delimited JSON requests over a
+Unix socket, with streamed progress events and the repo-wide 0/1/2/3
+exit contract embedded in every response.
 
 Layering (each module's docstring is its spec):
 
@@ -15,7 +15,8 @@ Layering (each module's docstring is its spec):
 * :mod:`repro.serve.reload` — disk/memory reconciliation: hot-reload
   of edited case studies, the ``stale_framework`` soundness latch;
 * :mod:`repro.serve.server` — transport and lifecycle: connection
-  readers, the serializing session queue, stale-socket claim, SIGHUP;
+  readers, the serializing session queue and its one entry
+  (``DaemonServer.submit``), stale-socket claim, SIGHUP;
 * :mod:`repro.serve.watcher` — ``repro watch``: poll, fingerprint
   diff, incremental re-verify, delta report;
 * :mod:`repro.serve.client` — ``repro client``: one-shot RPC.

@@ -3,18 +3,22 @@
 Topology — three kinds of thread around one resident
 :class:`~repro.serve.session.Session`:
 
+* one **accept thread**, spawning a reader per client connection;
 * one **reader thread per connection**, parsing newline-delimited JSON
   request frames (cap-enforced *while buffering*, so an oversized
-  request is rejected without ever being held in memory) and enqueueing
+  request is rejected without ever being held in memory) and submitting
   them;
 * one **dispatcher thread**, draining the session queue strictly FIFO —
   this is the serialization point: however many clients are connected,
   exactly one request executes at a time against the resident state, so
   the session needs no locks and two clients can never interleave
-  verdicts;
-* optionally one **HTTP thread** (``--http PORT``): ``POST /`` with a
-  single request frame as the body returns the full frame stream as
-  ``application/x-ndjson`` — the same queue, the same serialization.
+  verdicts.
+
+:meth:`DaemonServer.submit` is the only way into the session queue:
+socket readers, the SIGHUP reload and ``repro watch`` cycles (through a
+:class:`LocalConnection`) all enter there.  Once the daemon stops, every
+request still queued, and every request submitted later, is answered
+with a ``shutting-down`` error frame (exit 3) instead of silence.
 
 Failure containment: a client disconnecting mid-request only marks its
 connection dead (frames for it are dropped; the sweep finishes and the
@@ -30,7 +34,7 @@ connect-probes it.  A live daemon answers the probe → refuse to start
 listening; if the recorded pid (``<socket>.pid``) is dead or absent,
 the leftovers are cleaned up and the path claimed.
 
-``SIGHUP`` enqueues an internal ``reload`` request (equivalent to a
+``SIGHUP`` submits an internal ``reload`` request (equivalent to a
 client sending ``{"op": "reload"}``): re-fingerprint, hot-reload edited
 case studies, latch ``stale_framework`` on framework edits.
 """
@@ -52,6 +56,7 @@ from .protocol import (
     ack_frame,
     encode,
     error_frame,
+    parse_request,
 )
 from .session import Session
 
@@ -156,33 +161,52 @@ class _Connection:
             pass
 
 
-class _NullConnection(_Connection):
-    """Sink for internally-generated requests (SIGHUP reload)."""
+class LocalConnection:
+    """The sink for a request the daemon's own process submits (SIGHUP
+    reload, watch cycles): no socket, it keeps the terminal frame."""
 
-    def __init__(self) -> None:  # no socket
-        self.lock = threading.Lock()
-        self.alive = True
+    def __init__(self) -> None:
+        self.terminal: dict[str, Any] | None = None
+        self.done = threading.Event()
 
-    def send(self, frame: dict[str, Any]) -> bool:  # noqa: ARG002
+    def send(self, frame: dict[str, Any]) -> bool:
+        if frame.get("type") in ("result", "error"):
+            self.terminal = frame
+            self.done.set()
         return True
 
     def drop(self) -> None:
-        self.alive = False
+        self.done.set()
+
+    def wait(self, timeout: float) -> dict[str, Any]:
+        """The terminal frame; an ``internal`` error frame when none
+        arrived in ``timeout`` seconds or the connection was dropped."""
+        self.done.wait(timeout)
+        return self.terminal or error_frame(
+            None, "internal", "the daemon sent no terminal frame"
+        )
+
+
+def _shutting_down(request: Request) -> dict[str, Any]:
+    return error_frame(
+        request.id,
+        "shutting-down",
+        "the daemon is shutting down; the request did not run",
+    )
 
 
 _STOP = object()
 
 
 class DaemonServer:
-    """The resident daemon: Unix-socket transport (plus optional HTTP)
-    around one serialized :class:`Session`."""
+    """The resident daemon: a Unix-socket transport around one
+    serialized :class:`Session`."""
 
     def __init__(
         self,
         session: Session,
         *,
         socket_path: str | os.PathLike | None = None,
-        http_port: int | None = None,
         faults: Any = None,
     ) -> None:
         from ..engine.faults import FaultPlan
@@ -193,14 +217,17 @@ class DaemonServer:
             if socket_path is not None
             else default_socket_path(session.cache_dir)
         )
-        self.http_port = http_port
         self.faults = (
             FaultPlan.parse(faults) if isinstance(faults, str) else faults
         )
         self.queue: queue.Queue = queue.Queue()
         self.stopped = threading.Event()
         self._listener: socket.socket | None = None
-        self._httpd: Any = None
+        # Orders submissions against stop(): nothing enters the queue
+        # once stop() has drained it.  Re-entrant, since a SIGTERM
+        # handler may run stop() inside a SIGHUP handler's submit()
+        # on the main thread.
+        self._gate = threading.RLock()
         self._threads: list[threading.Thread] = []
         self._auto_ids = 0
         self._id_lock = threading.Lock()
@@ -218,8 +245,6 @@ class DaemonServer:
         _pidfile_for(self.socket_path).write_text(f"{os.getpid()}\n")
         self._spawn(self._dispatch_loop, "serve-dispatch")
         self._spawn(self._accept_loop, "serve-accept")
-        if self.http_port is not None:
-            self._start_http()
 
     def serve_forever(self) -> None:
         """Start (if needed) and block until shutdown."""
@@ -233,24 +258,28 @@ class DaemonServer:
             self.stop()
 
     def stop(self) -> None:
-        if self.stopped.is_set() and self._listener is None:
-            return
-        self.stopped.set()
-        self.queue.put(_STOP)
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
-        if self._httpd is not None:
-            try:
-                self._httpd.shutdown()
-            except Exception:  # noqa: BLE001
-                pass
-            self._httpd = None
-        self.socket_path.unlink(missing_ok=True)
-        _pidfile_for(self.socket_path).unlink(missing_ok=True)
+        """Stop serving: answer every queued request with
+        ``shutting-down``, stop the dispatcher after the request it is
+        running, close the listener and remove the socket and pidfile."""
+        with self._gate:  # a second caller returns once this one is done
+            if self.stopped.is_set():
+                return
+            self.stopped.set()
+            while True:
+                try:
+                    request, conn = self.queue.get_nowait()
+                except queue.Empty:
+                    break
+                conn.send(_shutting_down(request))
+            self.queue.put(_STOP)
+            if self._listener is not None:
+                try:
+                    self._listener.close()
+                except OSError:
+                    pass
+                self._listener = None
+            self.socket_path.unlink(missing_ok=True)
+            _pidfile_for(self.socket_path).unlink(missing_ok=True)
 
     def install_signal_handlers(self) -> None:
         """SIGHUP → internal reload; SIGTERM → clean stop.  Main-thread
@@ -259,10 +288,20 @@ class DaemonServer:
         signal.signal(signal.SIGTERM, lambda *_: self.stop())
 
     def request_reload(self) -> None:
-        """Enqueue a ``reload`` as if a client had asked (SIGHUP path)."""
-        self.queue.put(
-            (Request(op="reload", id="sighup"), _NullConnection())
-        )
+        """Submit a ``reload`` as if a client had asked (SIGHUP path)."""
+        self.submit(Request(op="reload", id="sighup"), LocalConnection())
+
+    def submit(self, request: Request, conn: Any) -> None:
+        """Queue ``request``; its frames go to ``conn`` (anything with
+        ``send(frame)`` and ``drop()``).  The ``ack`` is sent first; a
+        stopped daemon answers ``shutting-down`` instead."""
+        if not self.stopped.is_set():
+            conn.send(ack_frame(request, queued=self.queue.qsize()))
+            with self._gate:
+                if not self.stopped.is_set():
+                    self.queue.put((request, conn))
+                    return
+        conn.send(_shutting_down(request))
 
     # -- threads -------------------------------------------------------------
 
@@ -325,14 +364,13 @@ class DaemonServer:
 
     def _handle_line(self, conn: _Connection, line: bytes) -> None:
         try:
-            request = _parse(line, fallback_id=self._next_auto_id())
+            request = parse_request(line, fallback_id=self._next_auto_id())
         except ProtocolError as exc:
             conn.send(error_frame(exc.request_id, exc.code, str(exc)))
             if exc.code == "oversized":
                 conn.drop()
             return
-        conn.send(ack_frame(request, queued=self.queue.qsize()))
-        self.queue.put((request, conn))
+        self.submit(request, conn)
 
     def _dispatch_loop(self) -> None:
         from ..engine.faults import maybe_conndrop, plan_installed
@@ -343,6 +381,10 @@ class DaemonServer:
                 if item is _STOP:
                     return
                 request, conn = item
+                if self.stopped.is_set():
+                    # Taken off the queue while stop() was draining it.
+                    conn.send(_shutting_down(request))
+                    continue
                 frame = self.session.dispatch(request, conn.send)
                 if maybe_conndrop(request.op):
                     conn.drop()  # chaos: vanish before the terminal frame
@@ -351,89 +393,3 @@ class DaemonServer:
                 if request.op == "shutdown" and frame.get("type") == "result":
                     self.stop()
                     return
-
-    # -- optional HTTP transport ----------------------------------------------
-
-    def _start_http(self) -> None:
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        server = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def log_message(self, *args: Any) -> None:  # noqa: ARG002
-                pass  # the daemon is quiet; traces carry the telemetry
-
-            def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-                length = int(self.headers.get("Content-Length", 0))
-                if length > MAX_REQUEST_BYTES:
-                    self._reply(
-                        413,
-                        [
-                            error_frame(
-                                None,
-                                "oversized",
-                                f"request exceeds {MAX_REQUEST_BYTES} bytes",
-                            )
-                        ],
-                    )
-                    return
-                body = self.rfile.read(length)
-                try:
-                    request = _parse(body, fallback_id=server._next_auto_id())
-                except ProtocolError as exc:
-                    self._reply(
-                        400, [error_frame(exc.request_id, exc.code, str(exc))]
-                    )
-                    return
-                collector = _HttpConnection()
-                collector.send(ack_frame(request, queued=server.queue.qsize()))
-                server.queue.put((request, collector))
-                collector.done.wait(timeout=600.0)
-                self._reply(200, collector.frames)
-
-            def _reply(self, code: int, frames: list[dict[str, Any]]) -> None:
-                body = b"".join(encode(f) for f in frames)
-                self.send_response(code)
-                self.send_header("Content-Type", "application/x-ndjson")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", self.http_port), Handler)
-        self._spawn(self._httpd.serve_forever, "serve-http")
-
-    @property
-    def http_address(self) -> tuple[str, int] | None:
-        """The bound HTTP address (port 0 resolves after ``start``)."""
-        if self._httpd is None:
-            return None
-        return self._httpd.server_address[:2]
-
-
-class _HttpConnection(_Connection):
-    """Collects a request's frame stream for a blocking HTTP response."""
-
-    def __init__(self) -> None:  # no socket
-        self.lock = threading.Lock()
-        self.alive = True
-        self.frames: list[dict[str, Any]] = []
-        self.done = threading.Event()
-
-    def send(self, frame: dict[str, Any]) -> bool:
-        with self.lock:
-            self.frames.append(frame)
-        if frame.get("type") in ("result", "error"):
-            self.done.set()
-        return True
-
-    def drop(self) -> None:
-        self.alive = False
-        self.done.set()
-
-
-def _parse(line: bytes, *, fallback_id: str) -> Request:
-    from .protocol import parse_request
-
-    return parse_request(line, fallback_id=fallback_id)

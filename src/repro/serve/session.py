@@ -63,6 +63,13 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_names(value: Any) -> bool:
+    """An absent list param, or a JSON list of strings."""
+    return value is None or (
+        isinstance(value, list) and all(isinstance(v, str) for v in value)
+    )
+
+
 class Session:
     """Resident state + the serialized request dispatcher."""
 
@@ -208,10 +215,7 @@ class Session:
 
         p = request.params
         names = p.get("programs") or None
-        if names is not None and (
-            not isinstance(names, list)
-            or not all(isinstance(n, str) for n in names)
-        ):
+        if not _is_names(names):
             return error_frame(
                 request.id, "bad-request", "'programs' must be a list of names"
             )
@@ -278,30 +282,34 @@ class Session:
     def _diagnostic_sweep(
         self, request: Request, sweep: Any, tool: str
     ) -> dict[str, Any]:
-        from ..analysis import (
+        from ..analysis.diagnostics import (
             SelectorError,
-            Severity,
-            select,
+            run_diagnostics,
             worst_severity,
         )
 
         p = request.params
+        names, codes = p.get("programs") or None, p.get("select") or None
+        strict = p.get("strict", False)
+        if not (_is_names(names) and _is_names(codes) and isinstance(strict, bool)):
+            return error_frame(
+                request.id,
+                "bad-request",
+                "'programs' and 'select' must be lists of strings and "
+                "'strict' a boolean",
+            )
         try:
-            diagnostics = sweep(names=p.get("programs") or None)
-        except KeyError as exc:
+            kept, code = run_diagnostics(
+                sweep, names=names, codes=codes, strict=strict
+            )
+        except (KeyError, SelectorError) as exc:
             return error_frame(request.id, "bad-request", str(exc.args[0]))
-        try:
-            selected = select(diagnostics, codes=p.get("select") or None)
-        except SelectorError as exc:
-            return error_frame(request.id, "bad-request", str(exc))
-        worst = worst_severity(selected)
-        threshold = Severity.WARNING if p.get("strict") else Severity.ERROR
-        code = 1 if worst is not None and worst >= threshold else 0
+        worst = worst_severity(kept)
         payload = {
             "tool": tool,
-            "count": len(selected),
+            "count": len(kept),
             "worst": str(worst) if worst is not None else None,
-            "diagnostics": [d.to_json() for d in selected],
+            "diagnostics": [d.to_json() for d in kept],
         }
         return result_frame(request.id, request.op, code, payload)
 
@@ -326,34 +334,21 @@ class Session:
             from ..analysis import deps_registry
 
             return self._diagnostic_sweep(request, deps_registry, "fcsl-deps")
-        from ..analysis.deps import analyze_obligations
-        from ..engine.depgraph import depgraph_from_analysis
+        from ..analysis.diagnostics import dependency_graph
         from ..structures.registry import program
 
         try:
             info = program(name)
         except KeyError as exc:
             return error_frame(request.id, "bad-request", str(exc.args[0]))
-        analysis = analyze_obligations(info)
-        graph = depgraph_from_analysis(info, analysis)
-        if graph is None:
-            return result_frame(
-                request.id,
-                "deps",
-                3,
-                {
-                    "program": info.name,
-                    "graph": None,
-                    "diagnostics": [d.to_json() for d in analysis.diagnostics()],
-                },
-            )
+        graph, diagnostics, code = dependency_graph(info)
         return result_frame(
             request.id,
             "deps",
-            0,
+            code,
             {
                 "program": info.name,
-                "graph": graph.to_dict(),
-                "diagnostics": [d.to_json() for d in analysis.diagnostics()],
+                "graph": graph.to_dict() if graph is not None else None,
+                "diagnostics": [d.to_json() for d in diagnostics],
             },
         )

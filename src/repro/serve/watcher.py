@@ -12,7 +12,7 @@ changes it:
    fingerprint and keeps only the programs whose fingerprint moved —
    the *stale set* (usually one program for a one-file edit);
 3. **re-verifies the stale set only**, as an ordinary ``verify``
-   request pushed through the daemon's session queue (so an edit storm
+   request submitted to the daemon's session queue (so an edit storm
    and a concurrent ``repro client`` request serialize exactly like two
    clients), with ``incremental`` on — inside the stale program, only
    the obligations whose cone contains the edit re-execute;
@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Any, Callable, TextIO
 
 from .protocol import Request
-from .server import DaemonServer, _HttpConnection
+from .server import DaemonServer, LocalConnection
 
 
 def watched_files(extra_paths: list[str] | None = None) -> dict[str, tuple[int, int]]:
@@ -164,20 +164,16 @@ class Watcher:
         return exit_code
 
     def _verify(self, stale: list[str]) -> dict[str, Any]:
-        """Push the stale set through the daemon's own session queue, so
+        """Submit the stale set to the daemon's own session queue, so
         watch cycles serialize with concurrent client requests."""
-        collector = _HttpConnection()
+        conn = LocalConnection()
         request = Request(
             op="verify",
             id=f"watch-{self.cycles}",
             params={"programs": stale, "incremental": True},
         )
-        self.server.queue.put((request, collector))
-        collector.done.wait(timeout=600.0)
-        for frame in collector.frames:
-            if frame.get("type") in ("result", "error"):
-                return frame
-        return {"type": "error", "code": "internal", "exit_code": 3}
+        self.server.submit(request, conn)
+        return conn.wait(timeout=600.0)
 
     # -- the loop ------------------------------------------------------------
 

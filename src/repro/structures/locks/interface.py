@@ -22,7 +22,7 @@ of Table 2).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable
 
 from ...core.concurroid import Concurroid
 from ...core.prog import Prog
@@ -99,11 +99,6 @@ class AbstractLock(ABC):
     def client_total(self, state: State) -> Hashable:
         """``self • other`` in the client PCM."""
 
-    # -- common spec building blocks -------------------------------------------
-
-    def invariant_holds(self, state: State, inv: ResourceInvariant) -> bool:
-        return inv(self.resource(state), self.client_total(state))
-
 
 def critical_section(
     lock: AbstractLock,
@@ -121,9 +116,3 @@ def _release_then(lock: AbstractLock, aux_of: Callable[[Any], Any], value: Any) 
     from ...core.prog import bind, ret
 
     return bind(lock.release(aux_of), lambda __: ret(value))
-
-
-def aux_candidates_from(pcm: PCM) -> Callable[[State], Iterable[Any]]:
-    """Default enumeration of post-release contributions for transition
-    parameter spaces: the client PCM's own sample."""
-    return lambda __: pcm.sample()

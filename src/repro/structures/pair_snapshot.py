@@ -76,10 +76,6 @@ class PairSnapshotConcurroid(Concurroid):
     def labels(self) -> tuple[str, ...]:
         return (self._label,)
 
-    @property
-    def initial_abs(self) -> AbsState:
-        return self._initial
-
     def pcms(self) -> Mapping[str, PCM]:
         return {self._label: self._pcm}
 

@@ -51,6 +51,8 @@ def test_verify_bad_fault_spec_is_usage_error(capsys):
         ["verify", "--explore-jobs", "2"],
         ["profile", "--por"],
         ["verify", "--split-obligations"],
+        ["serve", "--http", "0"],
+        ["watch", "--http", "0"],
     ],
     ids=[
         "verify-por",
@@ -58,12 +60,15 @@ def test_verify_bad_fault_spec_is_usage_error(capsys):
         "verify-explore-jobs",
         "profile-por",
         "verify-split",
+        "serve-http",
+        "watch-http",
     ],
 )
 def test_removed_exploration_flags_are_usage_errors(argv, capsys):
-    # Partial-order reduction, symmetry reduction, sharded exploration and
-    # per-obligation-group work units are gone; their flags are unknown
-    # arguments, rejected before any sweep.
+    # Partial-order reduction, symmetry reduction, sharded exploration,
+    # per-obligation-group work units and the daemon's HTTP transport are
+    # gone; their flags are unknown arguments, rejected before any sweep
+    # or daemon starts.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -6,6 +6,10 @@ Covers the guarantees docs/SERVING.md makes:
   buffered, malformed JSON gets an ``error`` frame (never a daemon
   death), a client disconnecting mid-request leaves the daemon healthy,
   and two concurrent clients get isolated responses;
+* shutdown — a request queued behind ``shutdown`` or submitted after
+  ``stop()`` is answered with ``shutting-down``, never left hanging;
+* the diagnostic ops — ``lint``/``race``/``live``/``deps`` exit exactly
+  as the CLI subcommands of the same names (one shared driver);
 * stale-socket claim — a killed daemon's leftovers are cleaned up,
   a live daemon is refused (never ``EADDRINUSE``);
 * the chaos hook — ``OP:conndrop@N`` drops the connection before the
@@ -43,8 +47,10 @@ from repro.serve import (
     call,
     claim_socket_path,
 )
-from repro.serve.protocol import ProtocolError, error_exit_code, parse_request
+from repro.analysis.diagnostics import Diagnostic
+from repro.serve.protocol import ProtocolError, Request, error_exit_code, parse_request
 from repro.serve.reload import ModuleTracker
+from repro.serve.server import LocalConnection
 from repro.serve.watcher import Watcher
 
 STRUCTURES = Path(__file__).resolve().parents[1] / "src" / "repro" / "structures"
@@ -81,6 +87,24 @@ def _raw_frames(socket_path, payload: bytes, *, count: int = 1, timeout=10.0):
         return frames
     finally:
         sock.close()
+
+
+def _read_until_terminal(sock, request_id: str) -> list[dict]:
+    """Frames from ``sock`` up to ``request_id``'s terminal frame, or up
+    to EOF; the socket's timeout fails the read when neither comes."""
+    buffer = b""
+    frames: list[dict] = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return frames
+        buffer += chunk
+        while b"\n" in buffer:
+            line, _, buffer = buffer.partition(b"\n")
+            frames.append(json.loads(line))
+            last = frames[-1]
+            if last["id"] == request_id and last["type"] in ("result", "error"):
+                return frames
 
 
 # -- protocol unit tests --------------------------------------------------------
@@ -181,6 +205,22 @@ class TestDaemon:
         assert frame["exit_code"] == 2
         assert call("status", socket_path=daemon.socket_path)["exit_code"] == 0
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"select": [45]}, {"programs": {"CAS-lock": 1}}, {"strict": "no"}],
+        ids=["select", "programs", "strict"],
+    )
+    def test_malformed_diagnostic_params_are_usage_errors(self, daemon, params):
+        frame = call(
+            "lint",
+            {"programs": ["CAS-lock"], **params},
+            socket_path=daemon.socket_path,
+        )
+        assert frame["type"] == "error"
+        assert frame["code"] == "bad-request"
+        assert frame["exit_code"] == 2
+        assert call("status", socket_path=daemon.socket_path)["exit_code"] == 0
+
     def test_ack_precedes_result(self, daemon):
         events = []
         frame = call("status", socket_path=daemon.socket_path, on_event=events.append)
@@ -257,6 +297,143 @@ class TestDaemon:
         assert server.stopped.wait(timeout=10)
         time.sleep(0.1)
         assert not server.socket_path.exists()
+
+
+# -- shutdown answers every request it leaves behind ----------------------------
+
+
+def _shutting_down(frame: dict) -> bool:
+    return (
+        frame["type"] == "error"
+        and frame["code"] == "shutting-down"
+        and frame["exit_code"] == 3
+    )
+
+
+class TestShutdownDrain:
+    def test_request_queued_behind_shutdown_is_answered(self, tmp_path):
+        session = Session(cache_dir=str(tmp_path / "cache"))
+        server = DaemonServer(session, socket_path=tmp_path / "serve.sock")
+        server.start()
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(5)
+        try:
+            sock.connect(str(server.socket_path))
+            sock.sendall(
+                b'{"op": "shutdown", "id": "bye"}\n{"op": "status", "id": "st"}\n'
+            )
+            frames = _read_until_terminal(sock, "st")
+        finally:
+            sock.close()
+            server.stop()
+        assert any(f["id"] == "bye" and f["type"] == "result" for f in frames)
+        assert _shutting_down(frames[-1])
+
+    def test_request_after_stop_is_answered(self, tmp_path):
+        session = Session(cache_dir=str(tmp_path / "cache"))
+        server = DaemonServer(session, socket_path=tmp_path / "serve.sock")
+        server.start()
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(5)
+        try:
+            sock.connect(str(server.socket_path))
+            sock.sendall(b'{"op": "status", "id": "early"}\n')
+            assert _read_until_terminal(sock, "early")[-1]["type"] == "result"
+            server.stop()
+            sock.sendall(b'{"op": "status", "id": "late"}\n')
+            frames = _read_until_terminal(sock, "late")
+        finally:
+            sock.close()
+            server.stop()
+        assert frames and _shutting_down(frames[-1])
+
+    def test_watch_cycle_after_stop_returns_at_once(self, daemon):
+        watcher = Watcher(daemon, out=None)
+        daemon.stop()
+        result: dict = {}
+        thread = threading.Thread(
+            target=lambda: result.update(frame=watcher._verify(["CAS-lock"])),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(timeout=5)
+        assert "frame" in result, "the watch cycle waited for an answer"
+        assert _shutting_down(result["frame"])
+
+    def test_stop_drains_the_queue_and_finishes_the_running_request(self, daemon):
+        release = threading.Event()
+        dispatch = daemon.session.dispatch
+
+        def held(request, emit):
+            release.wait(5)
+            return dispatch(request, emit)
+
+        daemon.session.dispatch = held
+        running, queued = LocalConnection(), LocalConnection()
+        daemon.submit(Request(op="status", id="running"), running)
+        daemon.submit(Request(op="status", id="queued"), queued)
+        deadline = time.monotonic() + 5
+        while daemon.queue.qsize() > 1 and time.monotonic() < deadline:
+            time.sleep(0.01)  # until the dispatcher holds "running"
+        daemon.stop()
+        assert queued.done.is_set() and _shutting_down(queued.terminal)
+        release.set()
+        frame = running.wait(timeout=5)
+        assert frame["type"] == "result"
+        assert frame["id"] == "running"
+
+
+# -- the diagnostic ops: the CLI's exit matrix, through the daemon --------------
+
+_DIAG_SWEEPS = {
+    "lint": "lint_registry",
+    "race": "race_registry",
+    "live": "live_registry",
+    "deps": "deps_registry",
+}
+
+
+def _sweep_of(*codes: str):
+    findings = [Diagnostic(code, "synthetic finding", subject="fake") for code in codes]
+    return lambda names=None: findings
+
+
+def _crashing_sweep(names=None):
+    raise RuntimeError("synthetic analyzer bug")
+
+
+class TestDiagnosticOps:
+    """Patched sweeps (as in tests/test_cli_exits.py): the real registry
+    is clean, and the matrix costs no analysis time."""
+
+    @pytest.mark.parametrize("op", list(_DIAG_SWEEPS))
+    @pytest.mark.parametrize(
+        ("sweep", "argv", "params", "code"),
+        [
+            (_sweep_of(), [], {}, 0),
+            (_sweep_of("FCSL045"), [], {}, 1),
+            (_sweep_of("FCSL046"), [], {}, 0),
+            (_sweep_of("FCSL046"), ["--strict"], {"strict": True}, 1),
+            (_sweep_of(), ["--select", "FCSL9"], {"select": ["FCSL9"]}, 2),
+            (_crashing_sweep, [], {}, 3),
+        ],
+        ids=["clean", "error", "warning", "warning-strict", "unknown-selector", "crash"],
+    )
+    def test_cli_and_daemon_exit_alike(
+        self, daemon, monkeypatch, capsys, op, sweep, argv, params, code
+    ):
+        from repro.__main__ import main
+
+        monkeypatch.setattr(f"repro.analysis.{_DIAG_SWEEPS[op]}", sweep)
+        assert main([op, *argv]) == code
+        frame = call(op, params, socket_path=daemon.socket_path)
+        assert frame["exit_code"] == code
+        if code == 2:
+            assert frame["code"] == "bad-request"
+        elif code == 3:
+            assert frame["code"] == "internal"
+        else:
+            assert frame["payload"]["count"] == len(sweep())
 
 
 # -- stale-socket claim ---------------------------------------------------------
