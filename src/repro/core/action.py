@@ -92,10 +92,11 @@ def check_action(
 ) -> list[ActionIssue]:
     """Check every per-action obligation over coherent ``states``.
 
-    Coherence, transition successors and the framings locality runs on
-    are read off the state graph of the action's concurroid (see
-    :func:`~repro.core.concurroid.state_graph`); the framings and the
-    real heap of a state are built once for all of ``args_family``.
+    Coherence, transition successors, the framings locality runs on and
+    the PCM joins it compares are read off the state graph of the
+    action's concurroid (see :func:`~repro.core.concurroid.state_graph`);
+    the framings and the real heap of a state are built once for all of
+    ``args_family``.
     """
     issues: list[ActionIssue] = []
     conc = action.concurroid
@@ -109,6 +110,7 @@ def check_action(
     # One context-var read per call; the span below is emitted at the end.
     tr = obs_tracer.current()
     started = time.perf_counter() if tr is not None else 0.0
+    counts = dict(graph.memo_counts) if tr is not None else {}
     built = from_mask = 0
     try:
         for s in graph.states:
@@ -147,7 +149,7 @@ def check_action(
                     framings = found.coherent
                     built += found.built
                     from_mask += found.from_mask
-                if not _local(action, framings, args, value, s2):
+                if not _local(action, graph, framings, args, value, s2):
                     if report("locality", f"outcome depends on `other` at {s!r} args={args!r}"):
                         return issues
         return issues
@@ -162,6 +164,7 @@ def check_action(
                 states=len(graph.states),
                 framings_built=built,
                 framings_from_mask=from_mask,
+                **graph.memo_counts_since(counts),
             )
 
 
@@ -198,6 +201,7 @@ def _corresponds(graph: ProtocolGraph, s: State, s2: State) -> bool:
 
 def _local(
     action: Action,
+    graph: ProtocolGraph,
     framings: list[tuple[str, PCM, Any, State]],
     args: tuple,
     value: Any,
@@ -209,7 +213,8 @@ def _local(
     coherent — must yield the same result value, the same joint effect,
     and a final ``self`` that still carries the frame ``b``.  ``framings``
     are the pre-state's coherent framings
-    (:meth:`~repro.core.concurroid.ProtocolGraph.framings`)."""
+    (:meth:`~repro.core.concurroid.ProtocolGraph.framings`); ``graph``
+    joins the expected ``self``."""
     for lbl, pcm, frame, framed in framings:
         if not action.safe(framed, *args):
             continue
@@ -221,7 +226,7 @@ def _local(
             return False
         if s2_framed.joint_of(lbl) != s2.joint_of(lbl):
             return False
-        expected_self = pcm.join(s2.self_of(lbl), frame)
+        expected_self = graph.join(lbl, pcm, s2.self_of(lbl), frame)
         if s2_framed.self_of(lbl) != expected_self:
             return False
     return True

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..heap import EMPTY, Heap
 from ..obs import tracer as obs_tracer
@@ -197,6 +197,7 @@ def check_concurroid(
     # One context-var read per call; the span below is emitted at the end.
     tr = obs_tracer.current()
     started = time.perf_counter() if tr is not None else 0.0
+    counts = dict(graph.memo_counts) if tr is not None else {}
     reenumerated = 0
     try:
         for s in graph.states:
@@ -207,7 +208,7 @@ def check_concurroid(
                 for issue in _step_issues(conc, graph, s):
                     if report(*issue):
                         return issues
-            for issue_witness in _fork_join_counterexamples(conc, s, graph.coherent):
+            for issue_witness in _fork_join_counterexamples(conc, s, graph):
                 if report("fork-join-closure", "", issue_witness):
                     return issues
         return issues
@@ -221,6 +222,7 @@ def check_concurroid(
                 concurroid=name,
                 states=len(graph.states),
                 reenumerated=reenumerated,
+                **graph.memo_counts_since(counts),
             )
 
 
@@ -272,31 +274,45 @@ def _footprint_preserved(conc: Concurroid, s: State, s2: State) -> bool:
 
 
 def _fork_join_counterexamples(
-    conc: Concurroid, s: State, coherent: Callable[[State], bool]
+    conc: Concurroid, s: State, graph: "ProtocolGraph"
 ) -> Iterator[str]:
     """Yield witnesses of fork-join closure failures at state ``s``.
 
     Closure: if ``[a • b | j | o]`` is coherent then so is ``[a | j | b • o]``
     (and symmetrically back).  We check all splits of ``self`` pushed into
-    ``other``, and all splits of ``other`` pulled into ``self``.
-    ``coherent`` is ``conc``'s coherence predicate (a graph's memo of it).
+    ``other``, and all splits of ``other`` pulled into ``self``.  ``s`` is
+    a coherent member of ``graph``, which supplies the splits, the joins
+    and the coherence memo.  A realignment that gives back ``s``'s own
+    values (the unit moved across) is ``s`` itself, so it is not rebuilt.
     """
-    pcms = conc.pcms()
-    for lbl, pcm in pcms.items():
+    splits, join, coherent = graph.splits, graph.join, graph.coherent
+    for lbl, pcm in conc.pcms().items():
         if lbl not in s:
             continue
         comp = s[lbl]
-        for a, b in pcm.splits(comp.self_):
-            realigned = s.set(lbl, SubjState(a, comp.joint, pcm.join(b, comp.other)))
-            if not coherent(realigned):
+        self_, joint, other = comp.self_, comp.joint, comp.other
+        for a, b in splits(lbl, pcm, self_):
+            joined = join(lbl, pcm, b, other)
+            if a is self_ and joined is other:
+                continue
+            if not coherent(s.set(lbl, SubjState(a, joint, joined))):
                 yield f"label {lbl}: self split ({a!r}, {b!r}) at {s!r}"
-        for a, b in pcm.splits(comp.other):
-            realigned = s.set(lbl, SubjState(pcm.join(comp.self_, b), comp.joint, a))
-            if not coherent(realigned):
+        for a, b in splits(lbl, pcm, other):
+            joined = join(lbl, pcm, self_, b)
+            if joined is self_ and a is other:
+                continue
+            if not coherent(s.set(lbl, SubjState(joined, joint, a))):
                 yield f"label {lbl}: other split ({a!r}, {b!r}) at {s!r}"
 
 
 # -- the protocol state graph --------------------------------------------------------
+
+
+#: The names of :attr:`ProtocolGraph.memo_counts`, which the checkers'
+#: spans report per call.
+MEMO_COUNTS = ("splits_built", "splits_reused", "joins_built", "joins_reused")
+
+_ABSENT = object()
 
 
 class Framings(NamedTuple):
@@ -319,14 +335,26 @@ class ProtocolGraph:
     over the family re-derives otherwise.  Iterating a graph yields
     :attr:`states`, so it stands in for a state list.
 
-    Every table is keyed by the family's own (first-seen) ``State``
-    objects and every edge names members by those same objects, so the
-    graph pins no state beyond its members: a query with an *equal*
-    fresh state reads the memo without storing the fresh copy.  Facts
-    about non-members are computed per query and never stored.
-    :func:`protocol_closure` fills the edge tables while it enumerates
-    the closure; every other entry is filled on its member's first query
-    (so a coherence verdict is computed at most once per member).
+    Every state-keyed table is keyed by the family's own (first-seen)
+    ``State`` objects and every edge names members by those same
+    objects, so the graph pins no state beyond its members: a query with
+    an *equal* fresh state reads the memo without storing the fresh
+    copy.  Facts about non-members are computed per query and never
+    stored.  :func:`protocol_closure` fills the edge tables while it
+    enumerates the closure; every other entry is filled on its member's
+    first query (so a coherence verdict is computed at most once per
+    member).
+
+    The PCM facts the fork-join and framing checks rest on -- how a value
+    splits, what two values join to -- are keyed by *value*, not by
+    state: a family of thousands of members holds a few dozen distinct
+    ``self``/``other`` values per label, so each split and join is
+    computed once per graph (:meth:`splits`, :meth:`join`).  Values equal
+    under ``==`` are interchangeable, as they already are for the
+    closure's members.  Every value the graph hands out goes through one
+    intern table per graph, as do the closure's member values, so the
+    states the checkers rebuild from them compare to members by pointer.
+    The tables hold values, never states, and die with the graph.
     """
 
     #: fcsl-deps: the dependency walker must not traverse the tables.
@@ -350,6 +378,15 @@ class ProtocolGraph:
         #: member -> which of its candidate framings are coherent, one
         #: bit per candidate (see :meth:`framings`)
         self.framing_masks: dict[State, int] = {}
+        #: ``(label, value)`` -> the graph's one copy of that value
+        self.interned: dict[tuple[str, Hashable], Hashable] = {}
+        #: ``(label, value)`` -> ``pcm.splits(value)``, pieces interned
+        self.split_memo: dict[tuple[str, Hashable], tuple[tuple[Hashable, Hashable], ...]] = {}
+        #: ``(label, a, b)`` -> ``pcm.join(a, b)``, interned
+        self.join_memo: dict[tuple[str, Hashable, Hashable], Hashable] = {}
+        #: calls to :meth:`splits` / :meth:`join` that computed the fact
+        #: (``*_built``) or read it back (``*_reused``)
+        self.memo_counts: dict[str, int] = dict.fromkeys(MEMO_COUNTS, 0)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -399,13 +436,13 @@ class ProtocolGraph:
             if lbl not in state:
                 continue
             comp = state[lbl]
-            for frame, rest in list(pcm.splits(comp.other))[:8]:
+            for frame, rest in self.splits(lbl, pcm, comp.other)[:8]:
                 if pcm.is_unit(frame):
                     continue
                 if mask is None:
                     built += 1
                     framed = state.set(
-                        lbl, SubjState(pcm.join(comp.self_, frame), comp.joint, rest)
+                        lbl, SubjState(self.join(lbl, pcm, comp.self_, frame), comp.joint, rest)
                     )
                     if self.coherent(framed):
                         new_mask |= bit
@@ -414,7 +451,8 @@ class ProtocolGraph:
                     from_mask += 1
                     if mask & bit:
                         framed = state.set(
-                            lbl, SubjState(pcm.join(comp.self_, frame), comp.joint, rest)
+                            lbl,
+                            SubjState(self.join(lbl, pcm, comp.self_, frame), comp.joint, rest),
                         )
                         coherent.append((lbl, pcm, frame, framed))
                 bit <<= 1
@@ -423,6 +461,43 @@ class ProtocolGraph:
             if member is not None:
                 self.framing_masks[member] = new_mask
         return Framings(coherent, built, from_mask)
+
+    def splits(
+        self, label: str, pcm: PCM, value: Hashable
+    ) -> tuple[tuple[Hashable, Hashable], ...]:
+        """``pcm.splits(value)`` for the PCM at ``label``, computed once
+        per distinct value, with interned pieces."""
+        key = (label, value)
+        found = self.split_memo.get(key)
+        if found is None:
+            intern = self.intern
+            found = tuple((intern(label, a), intern(label, b)) for a, b in pcm.splits(value))
+            self.split_memo[key] = found
+            self.memo_counts["splits_built"] += 1
+        else:
+            self.memo_counts["splits_reused"] += 1
+        return found
+
+    def join(self, label: str, pcm: PCM, a: Hashable, b: Hashable) -> Hashable:
+        """``pcm.join(a, b)`` for the PCM at ``label``, computed once per
+        distinct pair, interned."""
+        key = (label, a, b)
+        joined = self.join_memo.get(key, _ABSENT)
+        if joined is _ABSENT:
+            joined = self.join_memo[key] = self.intern(label, pcm.join(a, b))
+            self.memo_counts["joins_built"] += 1
+        else:
+            self.memo_counts["joins_reused"] += 1
+        return joined
+
+    def intern(self, label: str, value: Hashable) -> Hashable:
+        """The graph's one copy of ``value`` at ``label``: the first equal
+        value it interned there."""
+        return self.interned.setdefault((label, value), value)
+
+    def memo_counts_since(self, before: Mapping[str, int]) -> dict[str, int]:
+        """:attr:`memo_counts` minus an earlier copy ``before``."""
+        return {name: count - before[name] for name, count in self.memo_counts.items()}
 
     def _steps(self, state: State) -> Iterator[State]:
         for t in self.conc.transitions():
@@ -486,6 +561,25 @@ def protocol_closure(
     return graph
 
 
+def _interned_state(interned: dict[tuple[str, Hashable], Hashable], state: State) -> State:
+    """``state`` with every component value replaced by its copy in the
+    intern table ``interned`` (see :meth:`ProtocolGraph.intern`), or
+    ``state`` itself when it holds only those copies."""
+    intern = interned.setdefault
+    parts: dict[str, SubjState] = {}
+    changed = False
+    for lbl, comp in state.items():
+        self_ = intern((lbl, comp.self_), comp.self_)
+        joint = intern((lbl, comp.joint), comp.joint)
+        other = intern((lbl, comp.other), comp.other)
+        if self_ is comp.self_ and joint is comp.joint and other is comp.other:
+            parts[lbl] = comp
+        else:
+            parts[lbl] = SubjState(self_, joint, other)
+            changed = True
+    return State._of(parts) if changed else state
+
+
 def _enumerate_closure(
     graph: ProtocolGraph,
     conc: Concurroid,
@@ -498,15 +592,18 @@ def _enumerate_closure(
 
     The one place a closure is enumerated, so its ``protocol_closure``
     span (states, edges, and whether the graph was ``deferred``) says
-    where the work ran."""
+    where the work ran.  Each new member's values are interned (see
+    :meth:`ProtocolGraph.intern`) as it is added, so members share them."""
     from collections import deque
 
     tr = obs_tracer.current()
     started = time.perf_counter() if tr is not None else 0.0
+    interned: dict[tuple[str, Hashable], Hashable] = {}
     seen: dict[State, State] = {}
     frontier: deque[State] = deque()
     for s in initials:
         if s not in seen:
+            s = _interned_state(interned, s)
             seen[s] = s
             frontier.append(s)
     trans: dict[State, tuple[State, ...]] = {}
@@ -521,12 +618,14 @@ def _enumerate_closure(
                     raise MetatheoryViolation(
                         f"protocol closure exceeded {max_states} states; shrink the model"
                     )
+                succ = _interned_state(interned, succ)
                 seen[succ] = succ
                 frontier.append(succ)
         # Edges name the first-seen objects; the fresh copies die here.
         trans[current] = tuple(seen[s2] for s2 in dict.fromkeys(steps))
         env[current] = tuple(seen[s2] for s2 in dict.fromkeys(moves))
     ProtocolGraph.__init__(graph, conc, sorted(seen, key=repr))
+    graph.interned = interned
     graph.trans = trans
     graph.env = env
     if tr is not None:
@@ -553,7 +652,18 @@ class _DeferredGraph(ProtocolGraph):
 
     #: the attributes :meth:`ProtocolGraph.__init__` sets besides ``conc``
     _TABLES = frozenset(
-        ("states", "_members", "env", "trans", "coherence", "framing_masks")
+        (
+            "states",
+            "_members",
+            "env",
+            "trans",
+            "coherence",
+            "framing_masks",
+            "interned",
+            "split_memo",
+            "join_memo",
+            "memo_counts",
+        )
     )
 
     def __init__(

@@ -98,11 +98,16 @@ class Heap:
     # -- PCM structure -------------------------------------------------------
 
     def join(self, other: "Heap") -> "Heap":
-        """Disjoint union ``self \\+ other``; ``UNDEF`` on domain overlap."""
+        """Disjoint union ``self \\+ other``; ``UNDEF`` on domain overlap.
+        Joining with the empty heap returns the other operand itself."""
         if not isinstance(other, Heap):
             raise TypeError(f"cannot join Heap with {other!r}")
         if not self._is_valid or not other._is_valid:
             return UNDEF
+        if not other._items:
+            return self
+        if not self._items:
+            return other
         if self._items.keys() & other._items.keys():
             return UNDEF
         merged = dict(self._items)

@@ -20,6 +20,7 @@ This doubles as the CI smoke vehicle: ``repro client --op status
 from __future__ import annotations
 
 import json
+import os
 import socket
 import uuid
 from typing import Any, Callable, Iterator
@@ -155,14 +156,20 @@ def run_client(args: Any) -> int:
     except ClientError as exc:
         print(f"repro-client: {exc}", file=sys.stderr)
         return 3
-    if args.format == "json":
-        print(json.dumps(final, indent=2))
-    elif final.get("type") == "error":
+    if args.format != "json" and final.get("type") == "error":
         print(
             f"repro-client: {final.get('code')}: {final.get('message')}",
             file=sys.stderr,
         )
-    else:
-        payload = final.get("payload", {})
-        print(json.dumps(payload, indent=2))
+        return exit_code_of(final)
+    shown = final if args.format == "json" else final.get("payload", {})
+    try:
+        print(json.dumps(shown, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``| head``).  The verdict stands;
+        # stdout now goes to devnull so the exit-time flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return exit_code_of(final)

@@ -84,6 +84,25 @@ class TestHeapJoin:
         assert h.join(EMPTY) == h
         assert EMPTY.join(h) == h
 
+    @pytest.mark.parametrize("unit", [EMPTY, Heap({})], ids=["EMPTY", "fresh-empty"])
+    def test_empty_operand_returns_the_other(self, unit):
+        h = heap_of({ptr(1): "a", ptr(2): ("b", 3)})
+        slow = Heap(dict(h.items()))
+        for joined in (h.join(unit), unit.join(h)):
+            assert joined is h
+            assert joined == slow and hash(joined) == hash(slow)
+            assert joined.is_valid and joined.dom() == slow.dom()
+
+    @pytest.mark.parametrize("unit", [EMPTY, Heap({})], ids=["EMPTY", "fresh-empty"])
+    def test_undef_absorbs_the_empty_heap(self, unit):
+        assert UNDEF.join(unit) is UNDEF
+        assert unit.join(UNDEF) is UNDEF
+
+    def test_empty_join_empty_is_the_valid_empty_heap(self):
+        for joined in (EMPTY.join(EMPTY), EMPTY.join(Heap({})), Heap({}).join(EMPTY)):
+            assert joined.is_valid and joined.is_empty and len(joined) == 0
+            assert joined == EMPTY and hash(joined) == hash(Heap({}))
+
     def test_commutative(self):
         a, b = pts(ptr(1), 1), pts(ptr(2), 2)
         assert a.join(b) == b.join(a)

@@ -735,6 +735,11 @@ class TestDeferredClosure:
         assert set(vars(graph)) == TestCanonicalKeys.ATTRIBUTES
         members = {id(s) for s in graph.states}
         assert all(id(s) in members for s in graph.env)
+        # the member values were interned as the closure was enumerated
+        assert graph.interned == eager.interned
+        assert not graph.split_memo and not graph.join_memo
+        assert graph.memo_counts == dict.fromkeys(conc_mod.MEMO_COUNTS, 0)
+        TestValueMemo.assert_members_interned(graph)
 
     def test_deferred_tables_are_the_graph_attributes(self):
         eager = protocol_closure(*_ticketed_initials())
@@ -833,8 +838,23 @@ class TestCanonicalKeys:
     that duplicate alive for as long as the graph lives."""
 
     #: The graph's attributes: states, members, the edge tables, the
-    #: coherence memo and the framing masks, and nothing else.
-    ATTRIBUTES = {"conc", "states", "_members", "env", "trans", "coherence", "framing_masks"}
+    #: coherence memo, the framing masks, the value-keyed intern table,
+    #: split and join memos with their call counts, and nothing else.
+    ATTRIBUTES = {
+        "conc",
+        "states",
+        "_members",
+        "env",
+        "trans",
+        "coherence",
+        "framing_masks",
+        "interned",
+        "split_memo",
+        "join_memo",
+        "memo_counts",
+    }
+    #: the value-keyed tables, which must hold no state at all
+    VALUE_TABLES = ("interned", "split_memo", "join_memo", "memo_counts")
 
     @classmethod
     def assert_canonical(cls, graph: ProtocolGraph, *, masks: bool = False) -> None:
@@ -851,6 +871,8 @@ class TestCanonicalKeys:
                 assert all(id(s) in members for s in succs)
         # one int per member, and nothing that could hold a state
         assert all(type(mask) is int for mask in graph.framing_masks.values())
+        for name in cls.VALUE_TABLES:
+            assert not _holds_state(getattr(graph, name)), name
 
     def test_after_all_checkers(self):
         self.run_all_checkers(*_ticketed_family())
@@ -859,14 +881,11 @@ class TestCanonicalKeys:
         self.run_all_checkers(*_framing_family())
 
     def run_all_checkers(self, conc, graph, actions, assertions):
-        conc_mod.check_concurroid(conc, graph)
-        for action, args in actions:
-            action_mod.check_action(action, graph, args)
-        for name, assertion in assertions:
-            stability_mod.check_stability(assertion, name, conc, graph)
+        run_all_checkers(conc, graph, actions, assertions)
         # framed states that are not members were queried, but not stored
         assert len(graph.coherence) == len(graph.states)
         assert len(graph.framing_masks) <= len(graph.states)
+        assert graph.split_memo and graph.join_memo
         self.assert_canonical(graph, masks=True)
 
     def test_equal_fresh_queries_store_the_member(self):
@@ -892,3 +911,100 @@ class TestCanonicalKeys:
         graph.successors(outside)
         graph.framings(outside)
         assert [len(table) for table in tables] == before
+
+
+def run_all_checkers(conc, graph, actions, assertions) -> None:
+    conc_mod.check_concurroid(conc, graph)
+    for action, args in actions:
+        action_mod.check_action(action, graph, args)
+    for name, assertion in assertions:
+        stability_mod.check_stability(assertion, name, conc, graph)
+
+
+def _holds_state(obj: Any) -> bool:
+    """Whether ``obj`` is, or (through dicts and tuples) holds, a state."""
+    if isinstance(obj, (State, SubjState)):
+        return True
+    if isinstance(obj, dict):
+        return any(_holds_state(k) or _holds_state(v) for k, v in obj.items())
+    if isinstance(obj, tuple):
+        return any(_holds_state(item) for item in obj)
+    return False
+
+
+class TestValueMemo:
+    """Splits and joins are computed once per distinct value, held by
+    the graph alone, and reported in the checkers' spans."""
+
+    @staticmethod
+    def assert_members_interned(graph: ProtocolGraph) -> None:
+        """Every member value is the graph's one copy of it."""
+        for s in graph.states:
+            for lbl, comp in s.items():
+                for value in (comp.self_, comp.joint, comp.other):
+                    assert graph.interned[(lbl, value)] is value
+
+    def test_members_share_interned_values(self):
+        conc, graph, actions, assertions = _ticketed_family()
+        self.assert_members_interned(graph)
+        run_all_checkers(conc, graph, actions, assertions)
+        self.assert_members_interned(graph)
+        # every split piece and join result is interned too
+        for (lbl, __), pieces in graph.split_memo.items():
+            for a, b in pieces:
+                assert graph.interned[(lbl, a)] is a and graph.interned[(lbl, b)] is b
+        for (lbl, __, ___), joined in graph.join_memo.items():
+            assert graph.interned[(lbl, joined)] is joined
+
+    def test_memo_answers_equal_the_pcm(self):
+        conc, graph, actions, assertions = _ticketed_family()
+        run_all_checkers(conc, graph, actions, assertions)
+        pcms = conc.pcms()
+        for (lbl, value), pieces in graph.split_memo.items():
+            assert pieces == tuple(pcms[lbl].splits(value))
+        for (lbl, a, b), joined in graph.join_memo.items():
+            assert joined == pcms[lbl].join(a, b)
+
+    def test_spans_count_built_and_reused(self):
+        conc, graph, actions, __ = _ticketed_family()
+        first, span = traced(conc_mod.check_concurroid, conc, graph)
+        assert span["splits_built"] == len(graph.split_memo) > 0
+        assert span["joins_built"] == len(graph.join_memo) > 0
+        assert span["splits_reused"] > span["splits_built"]
+        assert span["joins_reused"] > span["joins_built"]
+        assert graph.memo_counts == {name: span[name] for name in conc_mod.MEMO_COUNTS}
+        again, span = traced(conc_mod.check_concurroid, conc, graph)
+        assert [str(i) for i in again] == [str(i) for i in first]
+        assert span["splits_built"] == span["joins_built"] == 0
+        assert span["splits_reused"] > 0 and span["joins_reused"] > 0
+        action, args = actions[0]
+        __, span = traced(action_mod.check_action, action, graph, args)
+        assert set(conc_mod.MEMO_COUNTS) <= set(span)
+        assert span["splits_built"] + span["splits_reused"] > 0
+
+    def test_graphs_share_no_table_and_die_with_the_graph(self):
+        import gc
+        import weakref
+
+        conc, initials = _ticketed_initials()
+        first, second = (protocol_closure(conc, initials) for __ in range(2))
+        for graph in (first, second):
+            conc_mod.check_concurroid(conc, graph)
+            assert graph.split_memo and graph.join_memo
+            for name in TestCanonicalKeys.VALUE_TABLES:
+                # held by the graph alone: no PCM instance, concurroid or
+                # module global reaches a table
+                assert _held_only_by(getattr(graph, name), graph)
+        for name in TestCanonicalKeys.VALUE_TABLES:
+            assert getattr(first, name) is not getattr(second, name)
+        dead = weakref.ref(second)
+        del graph, second
+        gc.collect()
+        assert dead() is None and first.split_memo
+
+
+def _held_only_by(table: dict, graph: ProtocolGraph) -> bool:
+    import gc
+
+    holders = gc.get_referrers(table)
+    return bool(holders) and all(h is graph or h is vars(graph) for h in holders)

@@ -298,6 +298,29 @@ class TestDaemon:
         time.sleep(0.1)
         assert not server.socket_path.exists()
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_client_reader_closing_early_is_quiet(self, daemon, fmt):
+        """``repro client ... | head -3``: the reader is gone before the
+        answer is printed.  The client keeps the verdict's exit code and
+        writes nothing to stderr."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(STRUCTURES.parents[1]))
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "client", "--op", "status"]
+                + ["--format", fmt, "--socket", str(daemon.socket_path)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
 
 # -- shutdown answers every request it leaves behind ----------------------------
 
