@@ -26,7 +26,7 @@ from ..heap import EMPTY, Heap
 from ..obs import tracer as obs_tracer
 from ..pcm.base import PCM
 from .errors import MetatheoryViolation
-from .state import State, SubjState
+from .state import Delta, State, SubjState, component_repr, components_at, record, repr_of
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,11 @@ class Transition:
     def successors(self, state: State) -> Iterator[tuple[Any, State]]:
         for p in self.enabled_params(state):
             yield p, self.effect(state, p)
+
+    def targets(self, state: State) -> Iterator[State]:
+        """The states one step of this transition reaches from ``state``."""
+        for __, succ in self.successors(state):
+            yield succ
 
     def __repr__(self) -> str:
         return f"<Transition {self.name}>"
@@ -93,9 +98,10 @@ class Concurroid(ABC):
     @property
     def label(self) -> str:
         """The unique label of a single-label concurroid."""
-        if len(self.labels) != 1:
-            raise ValueError(f"{self!r} owns multiple labels: {self.labels}")
-        return self.labels[0]
+        labels = self.labels
+        if len(labels) != 1:
+            raise ValueError(f"{self!r} owns multiple labels: {labels}")
+        return labels[0]
 
     def env_transitions(self) -> Sequence[Transition]:
         """The transitions interfering threads may take.
@@ -107,6 +113,24 @@ class Concurroid(ABC):
         """
         return self.transitions()
 
+    def step_sources(self) -> tuple[Callable[[State], Iterable[State]], ...]:
+        """The successor sources of the observing thread's steps: one
+        function per transition, from a state to the states that
+        transition reaches.  Their outputs, concatenated in order, are
+        every transition step from the state."""
+        return tuple(t.targets for t in self.transitions())
+
+    def env_sources(self) -> tuple[Callable[[State], Iterable[State]], ...]:
+        """The successor sources of environment steps: functions whose
+        outputs, concatenated in order, are :meth:`env_moves`.
+
+        :func:`protocol_closure` runs each source once per distinct tuple
+        of the components it reads, so a composite that splits its
+        environment into sources that read few labels
+        (:class:`~repro.core.entangle.Entangled`) makes the closure
+        cheaper."""
+        return (self.env_moves,)
+
     def env_moves(self, state: State) -> Iterator[State]:
         """States reachable by one *environment* step.
 
@@ -116,7 +140,7 @@ class Concurroid(ABC):
         """
         flipped = self._transpose_own(state)
         for t in self.env_transitions():
-            for __, succ in t.successors(flipped):
+            for succ in t.targets(flipped):
                 yield self._transpose_own(succ)
 
     def _transpose_own(self, state: State) -> State:
@@ -500,9 +524,8 @@ class ProtocolGraph:
         return {name: count - before[name] for name, count in self.memo_counts.items()}
 
     def _steps(self, state: State) -> Iterator[State]:
-        for t in self.conc.transitions():
-            for __, succ in t.successors(state):
-                yield succ
+        for source in self.conc.step_sources():
+            yield from source(state)
 
     def _edges(
         self,
@@ -561,23 +584,111 @@ def protocol_closure(
     return graph
 
 
-def _interned_state(interned: dict[tuple[str, Hashable], Hashable], state: State) -> State:
-    """``state`` with every component value replaced by its copy in the
-    intern table ``interned`` (see :meth:`ProtocolGraph.intern`), or
-    ``state`` itself when it holds only those copies."""
-    intern = interned.setdefault
-    parts: dict[str, SubjState] = {}
-    changed = False
-    for lbl, comp in state.items():
-        self_ = intern((lbl, comp.self_), comp.self_)
-        joint = intern((lbl, comp.joint), comp.joint)
-        other = intern((lbl, comp.other), comp.other)
-        if self_ is comp.self_ and joint is comp.joint and other is comp.other:
-            parts[lbl] = comp
-        else:
-            parts[lbl] = SubjState(self_, joint, other)
-            changed = True
-    return State._of(parts) if changed else state
+class _Interner:
+    """The intern tables of one closure enumeration: the graph's value
+    table (see :meth:`ProtocolGraph.intern`) and, local to the
+    enumeration, one shared :class:`SubjState` per distinct
+    ``(label, component)``."""
+
+    __slots__ = ("values", "components")
+
+    def __init__(self) -> None:
+        self.values: dict[tuple[str, Hashable], Hashable] = {}
+        self.components: dict[tuple[str, SubjState], SubjState] = {}
+
+    def component(self, lbl: str, comp: SubjState) -> SubjState:
+        """The enumeration's one copy of ``comp`` at ``lbl``, holding
+        interned values."""
+        key = (lbl, comp)
+        shared = self.components.get(key)
+        if shared is None:
+            intern = self.values.setdefault
+            self_ = intern((lbl, comp.self_), comp.self_)
+            joint = intern((lbl, comp.joint), comp.joint)
+            other = intern((lbl, comp.other), comp.other)
+            if self_ is comp.self_ and joint is comp.joint and other is comp.other:
+                shared = comp
+            else:
+                shared = SubjState(self_, joint, other)
+            self.components[key] = shared
+        return shared
+
+    def state(self, state: State) -> State:
+        """``state`` built from shared components, or ``state`` itself
+        when it holds only those."""
+        component = self.component
+        parts: dict[str, SubjState] = {}
+        changed = False
+        for lbl, comp in state.items():
+            shared = parts[lbl] = component(lbl, comp)
+            changed = changed or shared is not comp
+        return State._of(parts) if changed else state
+
+    def delta(self, delta: Delta) -> Delta:
+        """``delta`` writing shared components."""
+        if not delta.writes:
+            return delta
+        component = self.component
+        return Delta(delta.flipped, tuple((l, component(l, c)) for l, c in delta.writes))
+
+
+class _Source:
+    """One successor source of a closure enumeration, with its memo.
+
+    ``reads`` is every label a recorded run of the source has read, in
+    sorted order; ``memo`` maps the components of a member at those
+    labels to the deltas its run gave.  A member that agrees with a
+    recorded one at every label in ``reads`` agrees with it at every
+    label that run read, so a deterministic source that reads only
+    through the state's methods outputs the recorded deltas applied to
+    it (see :func:`~repro.core.state.record`).  When ``reads`` grows, the
+    memo is emptied, so every entry is keyed by all of ``reads``.  The
+    source is run directly (``direct``) once its reads cover every label
+    the concurroid owns, once a run read the whole state, and once a run
+    output a state not derived from its input."""
+
+    __slots__ = ("run", "owned", "interner", "reads", "memo", "direct", "runs", "replays")
+
+    def __init__(
+        self, run: Callable[[State], Iterable[State]], owned: frozenset[str], interner: _Interner
+    ) -> None:
+        self.run = run
+        self.owned = owned
+        self.interner = interner
+        self.reads: tuple[str, ...] = ()
+        self.memo: dict[tuple[SubjState | None, ...], tuple[Delta, ...]] = {}
+        self.direct = False
+        #: evaluations that ran the source, and those the memo answered
+        self.runs = self.replays = 0
+
+    def successors(self, member: State) -> list[State]:
+        """The source's outputs on ``member``, in order."""
+        if self.direct:
+            self.runs += 1
+            return list(self.run(member))
+        key = components_at(member, self.reads)
+        deltas = self.memo.get(key)
+        if deltas is not None:
+            self.replays += 1
+            return [delta.apply(member) for delta in deltas]
+        self.runs += 1
+        try:
+            recording = record(self.run, member)
+        except Exception:  # noqa: BLE001 - never stored; the direct run raises it again
+            return list(self.run(member))
+        if recording is None:
+            self.direct = True
+            return list(self.run(member))
+        deltas = tuple(self.interner.delta(delta) for delta in recording.deltas)
+        if not recording.reads.issubset(self.reads):
+            reads = recording.reads.union(self.reads)
+            self.reads = tuple(sorted(reads))
+            self.memo.clear()
+            self.direct = self.owned <= reads
+            key = components_at(member, self.reads)
+        if not self.direct:
+            self.memo[key] = deltas
+        return [delta.apply(member) for delta in deltas]
 
 
 def _enumerate_closure(
@@ -591,44 +702,66 @@ def _enumerate_closure(
     """Enumerate the protocol closure of ``initials`` into ``graph``.
 
     The one place a closure is enumerated, so its ``protocol_closure``
-    span (states, edges, and whether the graph was ``deferred``) says
-    where the work ran.  Each new member's values are interned (see
-    :meth:`ProtocolGraph.intern`) as it is added, so members share them."""
+    span (states, edges, source runs and replays, and whether the graph
+    was ``deferred``) says where the work ran.  Each new member's values
+    are interned (see :meth:`ProtocolGraph.intern`) as it is added, so
+    members share them, and members share one :class:`SubjState` per
+    distinct component.
+
+    A member's successors are the outputs of ``conc.step_sources()`` and
+    ``conc.env_sources()``, each evaluated through its :class:`_Source`
+    memo: a source runs once per distinct tuple of the components it
+    reads, and its recorded outputs are replayed on the other members.
+    Members are sorted by ``repr``, assembled from one cached piece per
+    distinct component."""
     from collections import deque
 
     tr = obs_tracer.current()
     started = time.perf_counter() if tr is not None else 0.0
-    interned: dict[tuple[str, Hashable], Hashable] = {}
+    owned = frozenset(conc.labels)
+    interner = _Interner()
+    step_sources = [_Source(run, owned, interner) for run in conc.step_sources()]
+    env_sources = [_Source(run, owned, interner) for run in conc.env_sources()]
     seen: dict[State, State] = {}
     frontier: deque[State] = deque()
     for s in initials:
         if s not in seen:
-            s = _interned_state(interned, s)
+            s = interner.state(s)
             seen[s] = s
             frontier.append(s)
     trans: dict[State, tuple[State, ...]] = {}
     env: dict[State, tuple[State, ...]] = {}
     while frontier:
         current = frontier.popleft()
-        steps = [s2 for t in conc.transitions() for __, s2 in t.successors(current)]
-        moves = list(conc.env_moves(current))
+        steps = [s2 for source in step_sources for s2 in source.successors(current)]
+        moves = [s2 for source in env_sources for s2 in source.successors(current)]
         for succ in steps + moves:
             if succ not in seen:
                 if len(seen) >= max_states:
                     raise MetatheoryViolation(
                         f"protocol closure exceeded {max_states} states; shrink the model"
                     )
-                succ = _interned_state(interned, succ)
+                succ = interner.state(succ)
                 seen[succ] = succ
                 frontier.append(succ)
         # Edges name the first-seen objects; the fresh copies die here.
         trans[current] = tuple(seen[s2] for s2 in dict.fromkeys(steps))
         env[current] = tuple(seen[s2] for s2 in dict.fromkeys(moves))
-    ProtocolGraph.__init__(graph, conc, sorted(seen, key=repr))
-    graph.interned = interned
+    pieces: dict[tuple[str, SubjState], str] = {}
+
+    def piece(lbl: str, comp: SubjState) -> str:
+        key = (lbl, comp)
+        text = pieces.get(key)
+        if text is None:
+            text = pieces[key] = component_repr(lbl, comp)
+        return text
+
+    ProtocolGraph.__init__(graph, conc, sorted(seen, key=lambda s: repr_of(s, piece)))
+    graph.interned = interner.values
     graph.trans = trans
     graph.env = env
     if tr is not None:
+        sources = step_sources + env_sources
         tr.span(
             "protocol_closure",
             "core",
@@ -637,6 +770,8 @@ def _enumerate_closure(
             concurroid=type(conc).__name__,
             states=len(seen),
             edges=sum(map(len, trans.values())) + sum(map(len, env.values())),
+            sources_run=sum(source.runs for source in sources),
+            sources_replayed=sum(source.replays for source in sources),
             deferred=deferred,
         )
 

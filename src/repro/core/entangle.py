@@ -15,7 +15,7 @@ environment, and the joint part is empty.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..heap import EMPTY, Heap
 from ..pcm.base import PCM
@@ -41,7 +41,7 @@ class Entangled(Concurroid):
             if overlap:
                 raise ValueError(f"label collision in entanglement: {sorted(overlap)}")
             seen.update(part.labels)
-        self._parts = parts
+        self._concurroids = parts
         self._connectors = tuple(connectors)
         self._labels = tuple(lbl for part in parts for lbl in part.labels)
 
@@ -51,50 +51,50 @@ class Entangled(Concurroid):
 
     @property
     def parts(self) -> tuple[Concurroid, ...]:
-        return self._parts
+        return self._concurroids
 
     def coherent(self, state: State) -> bool:
-        return all(part.coherent(state) for part in self._parts)
+        return all(part.coherent(state) for part in self._concurroids)
 
     def transitions(self) -> Sequence[Transition]:
         out: list[Transition] = []
-        for part in self._parts:
+        for part in self._concurroids:
             out.extend(part.transitions())
         out.extend(self._connectors)
         return tuple(out)
 
     def env_transitions(self) -> Sequence[Transition]:
         out: list[Transition] = []
-        for part in self._parts:
+        for part in self._concurroids:
             out.extend(part.env_transitions())
         out.extend(self._connectors)
         return tuple(out)
 
     def pcms(self) -> Mapping[str, PCM]:
         merged: dict[str, PCM] = {}
-        for part in self._parts:
+        for part in self._concurroids:
             merged.update(part.pcms())
         return merged
 
+    def env_sources(self) -> tuple[Callable[[State], Iterable[State]], ...]:
+        """Each part's environment sources, then one source per connector."""
+        sources = [source for part in self._concurroids for source in part.env_sources()]
+        sources.extend(_environment_step(t) for t in self._connectors)
+        return tuple(sources)
+
     def env_moves(self, state: State) -> Iterator[State]:
-        for part in self._parts:
-            yield from part.env_moves(state)
-        # Connectors are steps of interfering threads too: transpose all
-        # labels, step, transpose back.
-        flipped = state.transpose()
-        for t in self._connectors:
-            for __, succ in t.successors(flipped):
-                yield succ.transpose()
+        for source in self.env_sources():
+            yield from source(state)
 
     def real_heap(self, state: State) -> Heap:
         acc = EMPTY
-        for part in self._parts:
+        for part in self._concurroids:
             acc = acc.join(part.real_heap(state))
         return acc
 
     def find(self, label: str) -> Concurroid:
         """The part owning ``label``."""
-        for part in self._parts:
+        for part in self._concurroids:
             if label in part.labels:
                 return part
         raise KeyError(f"no entangled part owns label {label!r}")
@@ -104,6 +104,18 @@ class Entangled(Concurroid):
     @property
     def preserves_footprint(self) -> bool:  # type: ignore[override]
         return not self._connectors
+
+
+def _environment_step(connector: Transition) -> Callable[[State], Iterator[State]]:
+    """The environment source of ``connector``: connectors are steps of
+    interfering threads too, so transpose all labels, step, transpose
+    back."""
+
+    def moves(state: State) -> Iterator[State]:
+        for succ in connector.targets(state.transpose()):
+            yield succ.transpose()
+
+    return moves
 
 
 def entangle(*parts: Concurroid, connectors: Sequence[Transition] = ()) -> Entangled:

@@ -23,6 +23,7 @@ class ProductPCM(PCM):
         if not components:
             raise ValueError("ProductPCM needs at least one component")
         self._components = components
+        self._unit = tuple(c.unit for c in components)
         self.name = " x ".join(c.name for c in components)
 
     @property
@@ -31,7 +32,7 @@ class ProductPCM(PCM):
 
     @property
     def unit(self) -> tuple:
-        return tuple(c.unit for c in self._components)
+        return self._unit
 
     def join(self, a: Any, b: Any) -> Any:
         if not self._in_carrier(a) or not self._in_carrier(b):

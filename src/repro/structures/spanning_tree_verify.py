@@ -22,7 +22,7 @@ import random
 from itertools import combinations
 from typing import Iterable
 
-from ..core.concurroid import ProtocolGraph, check_concurroid, protocol_closure
+from ..core.concurroid import ProtocolGraph, check_concurroid, protocol_closure, state_graph
 from ..core.action import check_action
 from ..core.entangle import Priv
 from ..core.spec import Scenario
@@ -314,8 +314,9 @@ def _check_subgraph_env_monotone(conc: SpanTreeConcurroid, states: ProtocolGraph
     """Lemma ``subgraph_steps``: environment steps of SpanTree only produce
     ``subgraph``-successors (the main stability workhorse of §3.2)."""
     issues: list[str] = []
-    for s in states:
-        if not conc.coherent(s):
+    graph = state_graph(conc, states)
+    for s in graph:
+        if not graph.coherent(s):
             continue
         before = conc.as_marked_graph(s)
         for s2 in conc.env_moves(s):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..core.action import check_action
-from ..core.concurroid import ProtocolGraph, check_concurroid, protocol_closure
+from ..core.concurroid import ProtocolGraph, check_concurroid, protocol_closure, state_graph
 from ..core.prog import par
 from ..core.spec import Scenario, Spec
 from ..core.stability import check_stability
@@ -67,8 +67,9 @@ def _replay_agreement(states: ProtocolGraph, structure: TreiberStructure) -> lis
     equals the history replay (the linearizability anchor)."""
     issues = []
     conc = structure.treiber
-    for s in states:
-        if not structure.concurroid.coherent(s):
+    graph = state_graph(structure.concurroid, states)
+    for s in graph:
+        if not graph.coherent(s):
             continue
         if conc.total_history(s).final_state(()) != conc.stack(s):
             issues.append(f"replay disagrees with heap at {s!r}")

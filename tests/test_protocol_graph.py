@@ -1008,3 +1008,232 @@ def _held_only_by(table: dict, graph: ProtocolGraph) -> bool:
 
     holders = gc.get_referrers(table)
     return bool(holders) and all(h is graph or h is vars(graph) for h in holders)
+
+
+# -- the closure's source memo -----------------------------------------------------
+
+
+def reference_closure(conc: Concurroid, initials: Iterable[State], max_states: int = 20_000):
+    """The closure as it was enumerated before the source memo: every
+    transition and every environment move runs on every member, each new
+    member's values are interned, and the members are sorted by ``repr``.
+    Returns ``(states, trans, env, interned)``."""
+    interned: dict = {}
+
+    def intern_state(state: State) -> State:
+        parts = {}
+        for lbl, comp in state.items():
+            parts[lbl] = SubjState(
+                *(interned.setdefault((lbl, v), v) for v in (comp.self_, comp.joint, comp.other))
+            )
+        return State(parts)
+
+    seen: dict[State, State] = {}
+    frontier: deque[State] = deque()
+    for s in initials:
+        if s not in seen:
+            s = intern_state(s)
+            seen[s] = s
+            frontier.append(s)
+    trans: dict[State, tuple[State, ...]] = {}
+    env: dict[State, tuple[State, ...]] = {}
+    while frontier:
+        current = frontier.popleft()
+        steps = [s2 for t in conc.transitions() for __, s2 in t.successors(current)]
+        moves = list(conc.env_moves(current))
+        for succ in steps + moves:
+            if succ not in seen:
+                if len(seen) >= max_states:
+                    raise MetatheoryViolation(
+                        f"protocol closure exceeded {max_states} states; shrink the model"
+                    )
+                succ = intern_state(succ)
+                seen[succ] = succ
+                frontier.append(succ)
+        trans[current] = tuple(seen[s2] for s2 in dict.fromkeys(steps))
+        env[current] = tuple(seen[s2] for s2 in dict.fromkeys(moves))
+    return sorted(seen, key=repr), trans, env, interned
+
+
+def assert_matches_reference(graph: ProtocolGraph, reference) -> None:
+    states, trans, env, interned = reference
+    assert [repr(s) for s in graph.states] == [repr(s) for s in states]
+    assert graph.states == tuple(states)
+    assert graph.trans == trans and graph.env == env
+    assert graph.interned == interned
+
+
+@pytest.fixture(scope="module")
+def registry_closures():
+    """``(row, conc, initials, max_states)`` per protocol closure the
+    paper's registry rows build, collected without enumerating any."""
+    from repro.structures.registry import all_programs
+
+    pending = []
+    init = conc_mod._DeferredGraph.__init__
+
+    def collect(self, conc, initials, max_states):
+        init(self, conc, initials, max_states)
+        pending.append((row, conc, initials, max_states))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conc_mod._DeferredGraph, "__init__", collect)
+        for info in all_programs():
+            row = info.name
+            with collecting_obligations():
+                info.run_verifier()
+    return pending
+
+
+class Peeker(Concurroid):
+    """Owns ``label``, a count its one transition raises by 1 plus what
+    ``peek`` reads off the *foreign* label ``b``."""
+
+    PEEKS: dict[str, Callable[[State], int]] = {
+        "in": lambda s: int("b" in s),
+        "[]": lambda s: s["b"].self_ % 2,
+        "self_of": lambda s: s.self_of("b") % 2,
+        "joint_of": lambda s: s.joint_of("b") % 2,
+        "other_of": lambda s: s.other_of("b") % 2,
+    }
+
+    def __init__(self, accessor: str, *, label: str = "a", cap: int = 4, boom_at: int = -1):
+        self._label = label
+        self._peek = self.PEEKS[accessor]
+        self._cap = cap
+        self._boom_at = boom_at
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return (self._label,)
+
+    def coherent(self, state: State) -> bool:
+        return True
+
+    def transitions(self) -> Sequence[Transition]:
+        lbl = self._label
+
+        def effect(state: State, __: Any) -> State:
+            n = state.self_of(lbl) + 1 + self._peek(state)
+            if n == self._boom_at:
+                raise ValueError(f"boom at {state!r}")
+            return state.set(lbl, SubjState(n, 0, 0))
+
+        return (Transition(f"{lbl}.peek", lambda s, __: s.self_of(lbl) < self._cap, effect),)
+
+
+class Bumper(Concurroid):
+    """Owns ``label``; each transition sets one of its three values from 0 to 1."""
+
+    def __init__(self, label: str):
+        self._label = label
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return (self._label,)
+
+    def coherent(self, state: State) -> bool:
+        return True
+
+    def transitions(self) -> Sequence[Transition]:
+        lbl = self._label
+
+        def bump(field: str) -> Transition:
+            def requires(state: State, __: Any) -> bool:
+                return lbl in state and getattr(state[lbl], field) < 1
+
+            def effect(state: State, __: Any) -> State:
+                comp = state[lbl]
+                values = {"self_": comp.self_, "joint": comp.joint, "other": comp.other}
+                values[field] += 1
+                return state.set(lbl, SubjState(values["self_"], values["joint"], values["other"]))
+
+            return Transition(f"{lbl}.{field}", requires, effect)
+
+        return tuple(bump(field) for field in ("self_", "joint", "other"))
+
+
+def peeker_closure_inputs(accessor: str, **kwargs: Any):
+    """An entangled ``a``/``b``/``c`` concurroid whose ``a`` part peeks
+    at ``b``, and its initial states: one without ``b`` when the peek is
+    a membership test."""
+    from repro.core.entangle import entangle
+
+    conc = entangle(Peeker(accessor, **kwargs), Bumper("b"), Bumper("c"))
+    zero = SubjState(0, 0, 0)
+    initials = [State({"a": zero, "b": zero, "c": zero})]
+    if accessor == "in":
+        initials.append(State({"a": zero, "c": zero}))
+    return conc, initials
+
+
+class TestSourceMemo:
+    """``protocol_closure`` runs each successor source once per distinct
+    tuple of the components it reads and replays it elsewhere; the graph
+    must be the one a plain enumeration builds."""
+
+    def test_registry_closures_match_the_reference(self, registry_closures):
+        assert len(registry_closures) >= 7
+        replayed = set()
+        for row, conc, initials, max_states in registry_closures:
+            graph, span = traced(protocol_closure, conc, initials, max_states=max_states)
+            assert_matches_reference(graph, reference_closure(conc, initials, max_states))
+            assert span["sources_run"] + span["sources_replayed"] == len(graph) * (
+                len(conc.step_sources()) + len(conc.env_sources())
+            ), row
+            if span["sources_replayed"]:
+                replayed.add(row)
+            if len(conc.labels) == 1:
+                # every source reads the concurroid's one label
+                assert span["sources_replayed"] == 0, row
+        assert {"CG allocator", "Treiber stack"} <= replayed
+
+    def test_members_share_one_component_object(self, registry_closures):
+        row, conc, initials, max_states = next(
+            c for c in registry_closures if c[0] == "Treiber stack"
+        )
+        graph = protocol_closure(conc, initials, max_states=max_states)
+        shared: dict = {}
+        for s in graph.states:
+            for lbl, comp in s.items():
+                assert shared.setdefault((lbl, comp), comp) is comp
+        assert len(shared) < len(graph) * len(conc.labels) / 10
+
+    @pytest.mark.parametrize("accessor", sorted(Peeker.PEEKS))
+    def test_a_part_reading_a_foreign_label(self, accessor):
+        conc, initials = peeker_closure_inputs(accessor)
+        graph, span = traced(protocol_closure, conc, initials)
+        assert_matches_reference(graph, reference_closure(conc, initials))
+        assert span["sources_replayed"] > 0
+        # members the foreign read tells apart though they agree on "a"
+        peek = Peeker.PEEKS[accessor]
+        by_a: dict = {}
+        for s in graph.states:
+            by_a.setdefault(s["a"], set()).add(peek(s))
+        assert any(len(peeks) > 1 for peeks in by_a.values())
+
+    def test_a_raising_transition_raises_as_the_reference_does(self):
+        conc, initials = peeker_closure_inputs("self_of", boom_at=3)
+        expected = outcome(reference_closure, conc, initials)
+        assert expected[0] == "raised" and expected[1] == "ValueError"
+        assert outcome(protocol_closure, conc, initials) == expected
+
+    def test_whole_state_reads_run_the_source_directly(self):
+        class Snooper(Peeker):
+            """Adds a transition that iterates the whole state."""
+
+            def transitions(self) -> Sequence[Transition]:
+                (t,) = super().transitions()
+                # its parameter counts the labels, iterating the state
+                snoop = Transition("a.snoop", t.requires, t.effect, lambda s: [len(list(s))])
+                return (t, snoop)
+
+        from repro.core.entangle import entangle
+
+        conc = entangle(Snooper("self_of"), Bumper("b"), Bumper("c"))
+        zero = SubjState(0, 0, 0)
+        initials = [State({"a": zero, "b": zero, "c": zero})]
+        graph, span = traced(protocol_closure, conc, initials)
+        assert_matches_reference(graph, reference_closure(conc, initials))
+        assert span["sources_run"] >= len(graph)  # the snoop ran on every member
+        assert span["sources_replayed"] > 0
