@@ -92,16 +92,19 @@ def check_action(
 ) -> list[ActionIssue]:
     """Check every per-action obligation over coherent ``states``.
 
-    Coherence, transition successors, the framings locality runs on and
-    the PCM joins it compares are read off the state graph of the
-    action's concurroid (see :func:`~repro.core.concurroid.state_graph`);
-    the framings and the real heap of a state are built once for all of
-    ``args_family``.
+    Coherence, transition successors, real heaps, the framings locality
+    runs on and the PCM joins it compares are read off the state graph
+    of the action's concurroid (see
+    :func:`~repro.core.concurroid.state_graph`); the framings of a state
+    are built once for all of ``args_family``.
     """
     issues: list[ActionIssue] = []
     conc = action.concurroid
     graph = state_graph(conc, states)
     args_family = tuple(args_family)
+    labels = conc.labels
+    pcms = tuple(conc.pcms().items())
+    real_heap = graph.real_heap
 
     def report(condition: str, witness: str) -> bool:
         issues.append(ActionIssue(action.name, condition, witness))
@@ -130,13 +133,15 @@ def check_action(
                 if not graph.coherent(s2):
                     if report("totality", f"incoherent post-state at {s!r} args={args!r}"):
                         return issues
-                for lbl in conc.labels:
-                    if lbl in s and s2.other_of(lbl) != s.other_of(lbl):
-                        if report("other-preservation", f"label {lbl} at {s!r} args={args!r}"):
-                            return issues
+                for lbl in labels:
+                    if lbl in s:
+                        other2, other = s2.other_of(lbl), s.other_of(lbl)
+                        if other2 is not other and other2 != other:
+                            if report("other-preservation", f"label {lbl} at {s!r} args={args!r}"):
+                                return issues
                 if heap is None:
-                    heap = conc.real_heap(s)
-                if not _erasure_ok(action, heap, s, s2, args):
+                    heap = real_heap(s)
+                if not _erasure_ok(action, heap, real_heap(s2), s, s2, args):
                     if report(
                         "erasure", f"real-heap change outside footprint at {s!r} args={args!r}"
                     ):
@@ -145,7 +150,7 @@ def check_action(
                     if report("transition-correspondence", f"{s!r} --{action.name}--> {s2!r}"):
                         return issues
                 if framings is None:
-                    found = graph.framings(s)
+                    found = graph.framings(s, pcms)
                     framings = found.coherent
                     built += found.built
                     from_mask += found.from_mask
@@ -168,14 +173,19 @@ def check_action(
             )
 
 
-def _erasure_ok(action: Action, before: Heap, s: State, s2: State, args: tuple) -> bool:
+def _erasure_ok(
+    action: Action, before: Heap, after: Heap, s: State, s2: State, args: tuple
+) -> bool:
     """The real-heap delta must lie within the declared footprint, and a
     non-allocating action must preserve the heap domain (pure RMW).
-    ``before`` is ``s``'s real heap."""
-    after = action.concurroid.real_heap(s2)
+    ``before`` and ``after`` are the real heaps of ``s`` and ``s2``;
+    equal heaps from the graph are one object, so the delta is then
+    empty without comparing."""
     if not before.is_valid or not after.is_valid:
         return False
     fp = action.footprint(s, *args)
+    if before is after:
+        return True
     if not action.allocates and before.dom() != after.dom():
         return False
     changed = {
@@ -224,10 +234,12 @@ def _local(
             return False
         if value_framed != value:
             return False
-        if s2_framed.joint_of(lbl) != s2.joint_of(lbl):
+        joint_framed, joint = s2_framed.joint_of(lbl), s2.joint_of(lbl)
+        if joint_framed is not joint and joint_framed != joint:
             return False
         expected_self = graph.join(lbl, pcm, s2.self_of(lbl), frame)
-        if s2_framed.self_of(lbl) != expected_self:
+        self_framed = s2_framed.self_of(lbl)
+        if self_framed is not expected_self and self_framed != expected_self:
             return False
     return True
 

@@ -213,6 +213,7 @@ def check_concurroid(
     issues: list[MetatheoryIssue] = []
     name = type(conc).__name__
     graph = state_graph(conc, states)
+    pcms = tuple(conc.pcms().items())
 
     def report(condition: str, transition: str, witness: str) -> bool:
         issues.append(MetatheoryIssue(name, condition, transition, witness))
@@ -222,6 +223,7 @@ def check_concurroid(
     tr = obs_tracer.current()
     started = time.perf_counter() if tr is not None else 0.0
     counts = dict(graph.memo_counts) if tr is not None else {}
+    masks = len(graph.framing_masks)
     reenumerated = 0
     try:
         for s in graph.states:
@@ -232,7 +234,7 @@ def check_concurroid(
                 for issue in _step_issues(conc, graph, s):
                     if report(*issue):
                         return issues
-            for issue_witness in _fork_join_counterexamples(conc, s, graph):
+            for issue_witness in _fork_join_counterexamples(s, graph, pcms):
                 if report("fork-join-closure", "", issue_witness):
                     return issues
         return issues
@@ -246,6 +248,7 @@ def check_concurroid(
                 concurroid=name,
                 states=len(graph.states),
                 reenumerated=reenumerated,
+                framing_masks=len(graph.framing_masks) - masks,
                 **graph.memo_counts_since(counts),
             )
 
@@ -298,7 +301,7 @@ def _footprint_preserved(conc: Concurroid, s: State, s2: State) -> bool:
 
 
 def _fork_join_counterexamples(
-    conc: Concurroid, s: State, graph: "ProtocolGraph"
+    s: State, graph: "ProtocolGraph", pcms: Sequence[tuple[str, PCM]]
 ) -> Iterator[str]:
     """Yield witnesses of fork-join closure failures at state ``s``.
 
@@ -306,11 +309,22 @@ def _fork_join_counterexamples(
     (and symmetrically back).  We check all splits of ``self`` pushed into
     ``other``, and all splits of ``other`` pulled into ``self``.  ``s`` is
     a coherent member of ``graph``, which supplies the splits, the joins
-    and the coherence memo.  A realignment that gives back ``s``'s own
-    values (the unit moved across) is ``s`` itself, so it is not rebuilt.
+    and the coherence memo; ``pcms`` is the concurroid's ``pcms()``.  A
+    realignment that gives back ``s``'s own values (the unit moved
+    across) is ``s`` itself, so it is not rebuilt.
+
+    Pulling the summand ``b`` of the split ``(a, b)`` of ``other`` into
+    ``self`` builds the framed state of the framing candidate ``(b, a)``
+    (see :meth:`ProtocolGraph.framings`).  When the pass runs to its end
+    at a member without a framing bitmask, it stores the bitmask its
+    verdicts give -- unless some candidate's mirrored split was not
+    checked (see :class:`FramingCandidates`), when it stores nothing.
     """
     splits, join, coherent = graph.splits, graph.join, graph.coherent
-    for lbl, pcm in conc.pcms().items():
+    member = graph._members.get(s)
+    fill = member is not None and member not in graph.framing_masks
+    mask = width = 0
+    for lbl, pcm in pcms:
         if lbl not in s:
             continue
         comp = s[lbl]
@@ -321,12 +335,33 @@ def _fork_join_counterexamples(
                 continue
             if not coherent(s.set(lbl, SubjState(a, joint, joined))):
                 yield f"label {lbl}: self split ({a!r}, {b!r}) at {s!r}"
+        # one bit per split of ``other``, by position: the splits whose
+        # realignment is coherent, and those whose realignment is ``s``
+        coherent_at = itself_at = 0
+        bit = 1
         for a, b in splits(lbl, pcm, other):
             joined = join(lbl, pcm, self_, b)
             if joined is self_ and a is other:
-                continue
-            if not coherent(s.set(lbl, SubjState(joined, joint, a))):
+                itself_at |= bit
+            elif coherent(s.set(lbl, SubjState(joined, joint, a))):
+                coherent_at |= bit
+            else:
                 yield f"label {lbl}: other split ({a!r}, {b!r}) at {s!r}"
+            bit <<= 1
+        if fill:
+            mirrors = graph.candidates(lbl, pcm, other).mirrors
+            if mirrors is None:
+                fill = False
+                continue
+            for i in mirrors:
+                if itself_at >> i & 1:
+                    fill = False
+                    break
+                if coherent_at >> i & 1:
+                    mask |= 1 << width
+                width += 1
+    if fill:
+        graph.framing_masks[member] = mask
 
 
 # -- the protocol state graph --------------------------------------------------------
@@ -334,9 +369,25 @@ def _fork_join_counterexamples(
 
 #: The names of :attr:`ProtocolGraph.memo_counts`, which the checkers'
 #: spans report per call.
-MEMO_COUNTS = ("splits_built", "splits_reused", "joins_built", "joins_reused")
+MEMO_COUNTS = ("splits_built", "splits_reused", "joins_built", "joins_reused", "real_heaps_built")
 
 _ABSENT = object()
+
+
+class FramingCandidates(NamedTuple):
+    """The candidate framings of a member whose ``other`` at a label is
+    one value (see :meth:`ProtocolGraph.framings`): the same for every
+    member with that value, so computed once per graph."""
+
+    #: ``(frame, rest)`` per candidate: each of the first 8 splits of
+    #: ``other``, in order, unless its ``frame`` is the unit; the split
+    #: memo's own pairs
+    pairs: tuple[tuple[Hashable, Hashable], ...]
+    #: per candidate, the position of its mirrored split ``(rest, frame)``
+    #: among the splits of ``other`` -- the split whose realignment in
+    #: Conc's fork-join pass is the framed state -- or None when some
+    #: candidate's mirror is not a split (an asymmetric ``splits``)
+    mirrors: tuple[int, ...] | None
 
 
 class Framings(NamedTuple):
@@ -367,13 +418,16 @@ class ProtocolGraph:
     stored.  :func:`protocol_closure` fills the edge tables while it
     enumerates the closure; every other entry is filled on its member's
     first query (so a coherence verdict is computed at most once per
-    member).
+    member) -- except a member's framing bitmask, which
+    :func:`check_concurroid`'s fork-join pass stores as it goes, and
+    :meth:`framings` otherwise.
 
     The PCM facts the fork-join and framing checks rest on -- how a value
     splits, what two values join to -- are keyed by *value*, not by
     state: a family of thousands of members holds a few dozen distinct
     ``self``/``other`` values per label, so each split and join is
-    computed once per graph (:meth:`splits`, :meth:`join`).  Values equal
+    computed once per graph (:meth:`splits`, :meth:`join`), and so is a
+    value's list of framing candidates (:meth:`candidates`).  Values equal
     under ``==`` are interchangeable, as they already are for the
     closure's members.  Every value the graph hands out goes through one
     intern table per graph, as do the closure's member values, so the
@@ -402,14 +456,20 @@ class ProtocolGraph:
         #: member -> which of its candidate framings are coherent, one
         #: bit per candidate (see :meth:`framings`)
         self.framing_masks: dict[State, int] = {}
-        #: ``(label, value)`` -> the graph's one copy of that value
-        self.interned: dict[tuple[str, Hashable], Hashable] = {}
+        #: member -> ``conc.real_heap(member)``, interned
+        self.real_heaps: dict[State, Heap] = {}
+        #: ``(label, value)`` -> the graph's one copy of that value, and
+        #: ``(None, heap)`` -> its one copy of a real heap
+        self.interned: dict[tuple[str | None, Hashable], Hashable] = {}
         #: ``(label, value)`` -> ``pcm.splits(value)``, pieces interned
         self.split_memo: dict[tuple[str, Hashable], tuple[tuple[Hashable, Hashable], ...]] = {}
         #: ``(label, a, b)`` -> ``pcm.join(a, b)``, interned
         self.join_memo: dict[tuple[str, Hashable, Hashable], Hashable] = {}
+        #: ``(label, other)`` -> the candidate framings of that ``other``
+        self.framing_candidates: dict[tuple[str, Hashable], FramingCandidates] = {}
         #: calls to :meth:`splits` / :meth:`join` that computed the fact
-        #: (``*_built``) or read it back (``*_reused``)
+        #: (``*_built``) or read it back (``*_reused``), and real heaps
+        #: :meth:`real_heap` computed
         self.memo_counts: dict[str, int] = dict.fromkeys(MEMO_COUNTS, 0)
 
     def __len__(self) -> int:
@@ -438,12 +498,17 @@ class ProtocolGraph:
         """Every state one ``conc.transitions()`` step away, duplicates dropped."""
         return self._edges(self.trans, state, self._steps)
 
-    def framings(self, state: State) -> Framings:
+    def framings(
+        self, state: State, pcms: Iterable[tuple[str, PCM]] | None = None
+    ) -> Framings:
         """The coherent framings of ``state``: for each owned label with
-        a PCM and each of the first 8 splits ``(frame, rest)`` of its
-        ``other`` whose ``frame`` is not the unit, the framed state
+        a PCM and each of its candidates ``(frame, rest)`` -- the first 8
+        splits of its ``other``, less those whose ``frame`` is the unit
+        (:meth:`candidates`) -- the framed state
         ``[self • frame | joint | rest]`` (the frame property's larger
-        ``self``, §3.4), when it is coherent.
+        ``self``, §3.4), when it is coherent.  ``pcms`` is
+        ``conc.pcms().items()``, which a caller asking for many states
+        reads once.
 
         A member keeps one int, a bitmask of which candidates are
         coherent, so a later query rebuilds only the coherent framed
@@ -456,13 +521,11 @@ class ProtocolGraph:
         built = from_mask = 0
         new_mask = 0
         bit = 1
-        for lbl, pcm in self.conc.pcms().items():
+        for lbl, pcm in self.conc.pcms().items() if pcms is None else pcms:
             if lbl not in state:
                 continue
             comp = state[lbl]
-            for frame, rest in self.splits(lbl, pcm, comp.other)[:8]:
-                if pcm.is_unit(frame):
-                    continue
+            for frame, rest in self.candidates(lbl, pcm, comp.other).pairs:
                 if mask is None:
                     built += 1
                     framed = state.set(
@@ -485,6 +548,38 @@ class ProtocolGraph:
             if member is not None:
                 self.framing_masks[member] = new_mask
         return Framings(coherent, built, from_mask)
+
+    def candidates(self, label: str, pcm: PCM, other: Hashable) -> FramingCandidates:
+        """The candidate framings of ``other`` at ``label``, computed once
+        per distinct value."""
+        key = (label, other)
+        found = self.framing_candidates.get(key)
+        if found is None:
+            pairs = self.splits(label, pcm, other)
+            chosen = tuple(pair for pair in pairs[:8] if not pcm.is_unit(pair[0]))
+            position: dict[tuple[Hashable, Hashable], int] = {}
+            for i, pair in enumerate(pairs):
+                position.setdefault(pair, i)
+            mirrors = [position.get((rest, frame)) for frame, rest in chosen]
+            found = self.framing_candidates[key] = FramingCandidates(
+                chosen, None if None in mirrors else tuple(mirrors)
+            )
+        return found
+
+    def real_heap(self, state: State) -> Heap:
+        """``conc.real_heap(state)``, computed once per member.  Members
+        with equal real heaps share one heap object, so two states'
+        heaps compare by pointer when they are equal."""
+        heap = self.real_heaps.get(state)
+        if heap is None:
+            heap = self.conc.real_heap(state)
+            self.memo_counts["real_heaps_built"] += 1
+            member = self._members.get(state)
+            if member is None:
+                heap = self.interned.get((None, heap), heap)
+            else:
+                heap = self.real_heaps[member] = self.interned.setdefault((None, heap), heap)
+        return heap
 
     def splits(
         self, label: str, pcm: PCM, value: Hashable
@@ -794,9 +889,11 @@ class _DeferredGraph(ProtocolGraph):
             "trans",
             "coherence",
             "framing_masks",
+            "real_heaps",
             "interned",
             "split_memo",
             "join_memo",
+            "framing_candidates",
             "memo_counts",
         )
     )

@@ -39,6 +39,7 @@ from repro.core.state import State, SubjState
 from repro.core.verify import collecting_obligations
 from repro.heap import Heap, Ptr, pts
 from repro.obs import tracer
+from repro.pcm.natpcm import NatPCM
 from repro.structures.locks.verify import (
     RES_CELL,
     lock_initial_state,
@@ -781,6 +782,8 @@ def candidate_mask(conc: Concurroid, s: State) -> int:
     """Which of ``s``'s candidate framings are coherent, from scratch."""
     bits = []
     for lbl, pcm in conc.pcms().items():
+        if lbl not in s:
+            continue
         comp = s[lbl]
         for frame, rest in list(pcm.splits(comp.other))[:8]:
             if pcm.is_unit(frame):
@@ -832,14 +835,147 @@ class TestFramingMasks:
         assert 0 < span["reenumerated"] < coherent
 
 
+class HalfSplitNat(NatPCM):
+    """``(nat, +, 0)`` whose ``splits`` lists only ``(a, b)`` with
+    ``a >= b``: the mirror ``(b, a)`` of a candidate framing is often
+    not a split, so Conc's fork-join pass cannot answer it."""
+
+    def splits(self, x: Any) -> Sequence[tuple[int, int]]:
+        return tuple((a, b) for a, b in super().splits(x) if a >= b)
+
+
+class HalfSplitCounter(CounterConcurroid):
+    def __init__(self, cap: int = 4):
+        super().__init__(cap=cap)
+        self._pcm = HalfSplitNat(sample_bound=cap + 1)
+
+
+def acts_outcomes(actions, states) -> list[tuple]:
+    """Every action's ``check_action`` outcome over ``states``, with and
+    without a ``max_issues`` cut."""
+    return [
+        outcome(action_mod.check_action, action, states, args, max_issues=max_issues)
+        for action, args in actions
+        for max_issues in (10, 2)
+    ]
+
+
+class TestConcFillsMasks:
+    """Conc's fork-join pass stores the framing bitmasks Acts reads."""
+
+    def test_registry_masks_equal_the_candidate_masks(self, registry_closures):
+        assert len(registry_closures) >= 7
+        filled = set()
+        for row, conc, initials, max_states in registry_closures:
+            graph = protocol_closure(conc, initials, max_states=max_states)
+            issues, span = traced(conc_mod.check_concurroid, conc, graph)
+            assert not issues, row
+            assert span["framing_masks"] == len(graph.framing_masks), row
+            for s, mask in graph.framing_masks.items():
+                assert mask == candidate_mask(conc, s), (row, s)
+            coherent = sum(1 for s in graph.states if graph.coherent(s))
+            if conc.pcms():
+                # every split list in the registry is symmetric
+                assert len(graph.framing_masks) == coherent, row
+                filled.add(row)
+        assert "Treiber stack" in filled
+
+    def test_asymmetric_splits_leave_masks_unset(self):
+        conc = HalfSplitCounter()
+        lbl = conc.label
+        initials = [counter_state(conc, a, b) for a in range(2) for b in range(3)]
+        graph = protocol_closure(conc, initials)
+        actions = [
+            (BumpAction(conc), [()]),
+            (ReadCounterAction(conc), [()]),
+            (ReadOtherAction(conc), [()]),
+        ]
+        ref_states = sorted(graph, key=repr)
+        issues, span = traced(conc_mod.check_concurroid, conc, graph)
+        assert [str(i) for i in issues] == [str(i) for i in check_concurroid(conc, ref_states)]
+        # only members whose ``other`` has no candidate at all are filled
+        assert graph.framing_masks and span["framing_masks"] == len(graph.framing_masks)
+        assert all(s.other_of(lbl) == 0 for s in graph.framing_masks)
+        assert any(s.other_of(lbl) > 0 and graph.coherent(s) for s in graph.states)
+        got = acts_outcomes(actions, graph)
+        assert got == [
+            outcome(check_action, action, ref_states, args, max_issues=max_issues)
+            for action, args in actions
+            for max_issues in (10, 2)
+        ]
+        assert any(o[0] == "issues" and o[1] for o in got)  # locality found some
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_acts_reads_the_same_before_and_after_conc(self, name):
+        conc, graph, actions, __ = FAMILIES[name]()
+        before = acts_outcomes(actions, ProtocolGraph(conc, graph.states))
+        conc_mod.check_concurroid(conc, graph)
+        assert acts_outcomes(actions, graph) == before
+        listed = list(graph.states)
+        conc_mod.check_concurroid(conc, listed)
+        assert acts_outcomes(actions, listed) == before
+
+    def test_a_pass_cut_at_max_issues_stores_no_mask_from_there(self):
+        conc, graph, __, ___ = _framing_family()
+        full = ProtocolGraph(conc, graph.states)
+        assert len(conc_mod.check_concurroid(conc, full)) > 1
+        # every member is coherent, and the pass stored every mask
+        assert set(full.framing_masks) == set(graph.states)
+        (issue,) = conc_mod.check_concurroid(conc, graph, max_issues=1)
+        assert issue.condition == "fork-join-closure"
+        cut = next(i for i, s in enumerate(graph.states) if issue.witness.endswith(f" at {s!r}"))
+        assert 0 < cut < len(graph.states) - 1
+        assert set(graph.framing_masks) == set(graph.states[:cut])
+
+
+class OffFootprintBump(BumpAction):
+    """Bump that declares no footprint although it writes the cell."""
+
+    def footprint(self, state: State, *args: Any) -> frozenset[Ptr]:
+        return frozenset()
+
+
+class TestRealHeaps:
+    def test_members_share_one_heap_per_value(self):
+        conc, graph, actions, assertions = _ticketed_family()
+        run_all_checkers(conc, graph, actions, assertions)
+        heaps = graph.real_heaps
+        assert heaps and set(heaps) <= set(graph.states)
+        for s, heap in heaps.items():
+            assert heap == conc.real_heap(s)
+            assert graph.interned[(None, heap)] is heap
+        assert len({id(h) for h in heaps.values()}) == len(set(heaps.values())) < len(heaps)
+
+    def test_each_member_heap_is_built_once(self):
+        __, graph, actions, ___ = _cas_family()
+        spans = [traced(action_mod.check_action, a, graph, args)[1] for a, args in actions]
+        assert sum(span["real_heaps_built"] for span in spans) == len(graph.real_heaps) > 0
+        assert spans[0]["real_heaps_built"] > 0
+
+    def test_a_write_outside_the_footprint_is_an_erasure_issue(self):
+        conc, graph, __, ___ = _counter_family()
+        action = OffFootprintBump(conc)
+        conc_mod.check_concurroid(conc, graph)
+        found = action_mod.check_action(action, graph, max_issues=1_000)
+        assert any(i.condition == "erasure" for i in found)
+        ref = check_action(action, sorted(graph, key=repr), max_issues=1_000)
+        assert [str(i) for i in found] == [str(i) for i in ref]
+        # both heaps of every step came from the table
+        for s in graph.states:
+            if graph.coherent(s) and action.safe(s):
+                __, s2 = action.step(s)
+                assert s in graph.real_heaps and s2 in graph.real_heaps
+
+
 class TestCanonicalKeys:
     """Memory regression: the graph must pin no state beyond its members.
     Keying a memo by the first *equal* fresh state a query brings keeps
     that duplicate alive for as long as the graph lives."""
 
     #: The graph's attributes: states, members, the edge tables, the
-    #: coherence memo, the framing masks, the value-keyed intern table,
-    #: split and join memos with their call counts, and nothing else.
+    #: coherence memo, the framing masks, the real heaps, the
+    #: value-keyed intern table, split and join memos, framing
+    #: candidates and the memo counts, and nothing else.
     ATTRIBUTES = {
         "conc",
         "states",
@@ -848,21 +984,25 @@ class TestCanonicalKeys:
         "trans",
         "coherence",
         "framing_masks",
+        "real_heaps",
         "interned",
         "split_memo",
         "join_memo",
+        "framing_candidates",
         "memo_counts",
     }
     #: the value-keyed tables, which must hold no state at all
-    VALUE_TABLES = ("interned", "split_memo", "join_memo", "memo_counts")
+    VALUE_TABLES = ("interned", "split_memo", "join_memo", "framing_candidates", "memo_counts")
 
     @classmethod
-    def assert_canonical(cls, graph: ProtocolGraph, *, masks: bool = False) -> None:
+    def assert_canonical(cls, graph: ProtocolGraph, *, acts: bool = False) -> None:
+        """``acts``: the tables Acts fills (framing masks, real heaps)
+        are filled too."""
         assert set(vars(graph)) == cls.ATTRIBUTES
         members = {id(s) for s in graph.states}
         tables = [graph.env, graph.trans, graph.coherence]
-        if masks:
-            tables.append(graph.framing_masks)
+        if acts:
+            tables += [graph.framing_masks, graph.real_heaps]
         for table in tables:
             assert table
             assert all(id(key) in members for key in table)
@@ -871,6 +1011,7 @@ class TestCanonicalKeys:
                 assert all(id(s) in members for s in succs)
         # one int per member, and nothing that could hold a state
         assert all(type(mask) is int for mask in graph.framing_masks.values())
+        assert all(type(heap) is Heap for heap in graph.real_heaps.values())
         for name in cls.VALUE_TABLES:
             assert not _holds_state(getattr(graph, name)), name
 
@@ -886,7 +1027,8 @@ class TestCanonicalKeys:
         assert len(graph.coherence) == len(graph.states)
         assert len(graph.framing_masks) <= len(graph.states)
         assert graph.split_memo and graph.join_memo
-        self.assert_canonical(graph, masks=True)
+        assert len(graph.real_heaps) <= len(graph.states)
+        self.assert_canonical(graph, acts=True)
 
     def test_equal_fresh_queries_store_the_member(self):
         conc, closure, __, ___ = _counter_family()
@@ -898,19 +1040,23 @@ class TestCanonicalKeys:
             graph.env_successors(fresh)
             graph.successors(fresh)
             graph.framings(fresh)
-        self.assert_canonical(graph, masks=True)
+            graph.real_heap(fresh)
+        self.assert_canonical(graph, acts=True)
 
     def test_non_members_are_not_stored(self):
         conc, graph, __, ___ = _counter_family()
         outside = counter_state(conc, 9, 9)
         assert outside not in graph
-        tables = (graph.env, graph.trans, graph.coherence, graph.framing_masks)
+        tables = (graph.env, graph.trans, graph.coherence, graph.framing_masks, graph.real_heaps)
         before = [len(table) for table in tables]
         graph.coherent(outside)
         graph.env_successors(outside)
         graph.successors(outside)
         graph.framings(outside)
+        interned = len(graph.interned)
+        assert graph.real_heap(outside) == conc.real_heap(outside)
         assert [len(table) for table in tables] == before
+        assert len(graph.interned) == interned
 
 
 def run_all_checkers(conc, graph, actions, assertions) -> None:
@@ -980,7 +1126,8 @@ class TestValueMemo:
         action, args = actions[0]
         __, span = traced(action_mod.check_action, action, graph, args)
         assert set(conc_mod.MEMO_COUNTS) <= set(span)
-        assert span["splits_built"] + span["splits_reused"] > 0
+        # Conc stored every mask Acts reads
+        assert span["framings_built"] == 0 and span["framings_from_mask"] > 0
 
     def test_graphs_share_no_table_and_die_with_the_graph(self):
         import gc
