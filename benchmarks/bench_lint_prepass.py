@@ -1,17 +1,18 @@
 """fcsl-lint pre-pass ablation — verification with and without lint facts.
 
-Runs a subset of the Table 1 verifiers twice — once plain, once under
-:func:`repro.analysis.static_prepass` — and reports per-program wall
-time, the number of dynamic obligations the pre-pass discharged
-statically, and (the soundness requirement) that every obligation's
-verdict is bit-for-bit identical in both runs.
+Runs a subset of the Table 1 verifiers twice — once plain, once with a
+:class:`repro.analysis.StaticPrepass` in the installed verifier options —
+and reports per-program wall time, the number of dynamic obligations the
+pre-pass discharged statically, and (the soundness requirement) that
+every obligation's verdict is bit-for-bit identical in both runs.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.analysis import static_prepass
+from repro.analysis import StaticPrepass
+from repro.core.verify import VerifyOptions, options_installed
 from repro.structures.registry import all_programs
 
 from conftest import emit
@@ -29,7 +30,7 @@ def _run_pair(info):
     base = info.verifier()
     base_secs = time.perf_counter() - started
 
-    with static_prepass():
+    with options_installed(VerifyOptions(prepass=StaticPrepass())):
         started = time.perf_counter()
         pre = info.verifier()
         pre_secs = time.perf_counter() - started
@@ -58,10 +59,3 @@ def test_lint_prepass_prunes_obligations(out_dir):
     assert total_skips >= 1
     emit(out_dir, "lint_prepass.txt", "\n".join(lines))
 
-
-def test_prepass_uninstalls_cleanly():
-    from repro.core.verify import get_prepass
-
-    with static_prepass() as pp:
-        assert get_prepass() is pp
-    assert get_prepass() is None

@@ -29,7 +29,8 @@ from repro.engine import (
     resolve_programs,
     run_sweep,
 )
-from repro.engine.engine import _install_worker_prepass, _UnitWorker
+from repro.analysis.prepass import StaticPrepass
+from repro.engine.engine import _UnitWorker
 
 from conftest import emit
 
@@ -79,19 +80,17 @@ def _timed(**kwargs):
 
 
 def _timed_pool_map():
-    """The unsupervised baseline: the sweep's own work units, unit worker
-    and pool initializer under a bare ``pool.map``, which dies wholesale
-    on any worker fault.  Programs are fingerprinted first, as a sweep
+    """The unsupervised baseline: the sweep's own work units and unit
+    worker (its options carrying the static pre-pass, as a sweep's do)
+    under a bare ``pool.map``, which dies wholesale on any worker fault.  Programs are fingerprinted first, as a sweep
     does, so the gap is supervision alone."""
     started = time.perf_counter()
     programs = resolve_programs(PROGRAMS)
     for info in programs:
         program_fingerprint(info)
     units = [WorkUnit(info) for info in programs]
-    with multiprocessing.Pool(
-        processes=JOBS, initializer=_install_worker_prepass
-    ) as pool:
-        payloads = pool.map(_UnitWorker(VerifyOptions()), units)
+    with multiprocessing.Pool(processes=JOBS) as pool:
+        payloads = pool.map(_UnitWorker(VerifyOptions(prepass=StaticPrepass())), units)
     reports = {
         unit.program: VerificationReport.from_dict(payload["report"])
         for unit, payload in zip(units, payloads)

@@ -13,7 +13,8 @@ Entry points:
   lock-order graph.
 * :func:`repro.analysis.interference.action_footprint` — the per-action
   footprint probe the race and lock-order rules build on.
-* :func:`repro.analysis.prepass.static_prepass` — context manager that
+* :class:`repro.analysis.prepass.StaticPrepass` — the hook that, carried
+  by a run's :class:`~repro.core.verify.VerifyOptions` (``prepass=``),
   lets the dynamic verifiers skip provably-redundant stability
   obligations.
 """
@@ -45,7 +46,7 @@ from .liveness import (
     live_target,
 )
 from .lockorder import LockOrderGraph, build_lock_order, lockorder_target
-from .prepass import StaticPrepass, static_prepass
+from .prepass import StaticPrepass
 from .race import race_registry, race_target
 from .runner import lint_registry, lint_target
 
@@ -79,6 +80,5 @@ __all__ = [
     "render_json",
     "render_text",
     "select",
-    "static_prepass",
     "worst_severity",
 ]

@@ -380,7 +380,7 @@ def _class_facts(cls: type) -> tuple[int, tuple[str, ...]]:
         return facts
     if issubclass(cls, _PRIMITIVES) or getattr(cls, "__deps_opaque__", False):
         # ``__deps_opaque__``: the class declares its instances carry
-        # only derived analysis facts (e.g. ``StaticPrepass`` memos) —
+        # only derived analysis facts (e.g. ``ProtocolGraph`` tables) —
         # walking them would make cones depend on sibling-program
         # execution history, not on the obligation's sources.
         kind = _K_INERT

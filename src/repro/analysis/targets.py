@@ -42,32 +42,7 @@ def bounded_closure(
     Returns ``(states, exhaustive)``; when not exhaustive, callers must
     treat the family as a sample (no dead-transition conclusions).
     """
-    seen: set[State] = set()
-    frontier: deque[State] = deque()
-    for s in initials:
-        if s not in seen:
-            seen.add(s)
-            frontier.append(s)
-    truncated = False
-    while frontier:
-        current = frontier.popleft()
-        successors: list[State] = []
-        for t in conc.transitions():
-            try:
-                successors.extend(s2 for __, s2 in t.successors(current))
-            except Exception:  # noqa: BLE001 - lint must not die on a bad guard
-                continue
-        successors.extend(conc.env_moves(current))
-        for succ in successors:
-            if succ not in seen:
-                if len(seen) >= cap:
-                    truncated = True
-                    break
-                seen.add(succ)
-                frontier.append(succ)
-        if truncated:
-            break
-    return sorted(seen, key=repr), not truncated
+    return bounded_closure_many((conc,), initials, cap)
 
 
 def bounded_closure_many(
@@ -77,10 +52,11 @@ def bounded_closure_many(
 ) -> tuple[list[State], bool]:
     """Interleaved closure under several concurroids' transitions.
 
-    Like :func:`bounded_closure` but the frontier expands under every
-    concurroid's transitions and environment moves — the state family of
-    a world composing independent protocols (e.g. the two-lock demo),
-    where each protocol's reachable region depends on the other's.
+    The frontier expands under every concurroid's transitions and
+    environment moves — the state family of a world composing
+    independent protocols (e.g. the two-lock demo), where each
+    protocol's reachable region depends on the other's.  Returns
+    ``(states, exhaustive)`` as :func:`bounded_closure` does.
     """
     seen: set[State] = set()
     frontier: deque[State] = deque()

@@ -407,7 +407,9 @@ class ProtocolGraph:
     Holds the family's states (in the order the checkers visit them) and,
     per member, its environment successors, its transition successors and
     its coherence verdict — the facts every Conc, Acts and Stab obligation
-    over the family re-derives otherwise.  Iterating a graph yields
+    over the family re-derives otherwise — and, once the pre-pass asks,
+    whether the family's environment moves stay inside it and preserve
+    every ``self`` projection.  Iterating a graph yields
     :attr:`states`, so it stands in for a state list.
 
     Every state-keyed table is keyed by the family's own (first-seen)
@@ -453,6 +455,8 @@ class ProtocolGraph:
         self.trans: dict[State, tuple[State, ...]] = {}
         #: member -> ``conc.coherent(member)``
         self.coherence: dict[State, bool] = {}
+        #: :meth:`env_closed_and_self_preserving`, once asked
+        self.env_verdict: bool | None = None
         #: member -> which of its candidate framings are coherent, one
         #: bit per candidate (see :meth:`framings`)
         self.framing_masks: dict[State, int] = {}
@@ -493,6 +497,29 @@ class ProtocolGraph:
     def env_successors(self, state: State) -> tuple[State, ...]:
         """``conc.env_moves(state)``, duplicates dropped."""
         return self._edges(self.env, state, self.conc.env_moves)
+
+    def env_closed_and_self_preserving(self) -> bool:
+        """Whether every environment move from every member lands on a
+        member and leaves every label's ``self`` projection unchanged --
+        the model fact the static pre-pass discharges self-framed
+        stability obligations with (:mod:`repro.analysis.prepass`).
+        Computed on first ask; a move that raises makes it False."""
+        if self.env_verdict is None:
+            self.env_verdict = self._env_closed_and_self_preserving()
+        return self.env_verdict
+
+    def _env_closed_and_self_preserving(self) -> bool:
+        try:
+            for s in self.states:
+                for s2 in self.env_successors(s):
+                    if s2 not in self:
+                        return False  # family is not env-closed
+                    for lbl in s.labels():
+                        if s2.self_of(lbl) != s.self_of(lbl):
+                            return False  # env changed a self projection
+        except Exception:  # noqa: BLE001 - fail closed
+            return False
+        return True
 
     def successors(self, state: State) -> tuple[State, ...]:
         """Every state one ``conc.transitions()`` step away, duplicates dropped."""
@@ -888,6 +915,7 @@ class _DeferredGraph(ProtocolGraph):
             "env",
             "trans",
             "coherence",
+            "env_verdict",
             "framing_masks",
             "real_heaps",
             "interned",

@@ -21,7 +21,7 @@ from ..heap import EMPTY, Heap
 from ..pcm.base import PCM
 from ..pcm.heappcm import HeapPCM
 from .concurroid import Concurroid, Transition
-from .state import State, SubjState
+from .state import State
 
 
 class Entangled(Concurroid):
@@ -269,8 +269,3 @@ class Priv(Concurroid):
 
     # Private allocation changes the self-heap footprint by design.
     preserves_footprint = False
-
-
-def priv_state(label: str, self_heap: Heap, other_heap: Heap = EMPTY) -> tuple[str, SubjState]:
-    """Convenience for building the ``Priv`` component of an initial state."""
-    return label, SubjState(self_heap, EMPTY, other_heap)

@@ -41,29 +41,6 @@ class StabilityIssue:
         )
 
 
-def env_closure(
-    conc: Concurroid,
-    state: State,
-    *,
-    max_states: int = 5_000,
-) -> set[State]:
-    """All states reachable from ``state`` by environment steps (incl. it)."""
-    seen = {state}
-    frontier = deque([state])
-    while frontier:
-        current = frontier.popleft()
-        for succ in conc.env_moves(current):
-            if succ not in seen:
-                if len(seen) >= max_states:
-                    raise StabilityViolation(
-                        f"environment closure exceeded {max_states} states; "
-                        "shrink the model"
-                    )
-                seen.add(succ)
-                frontier.append(succ)
-    return seen
-
-
 def check_stability(
     assertion: Assertion,
     name: str,
@@ -81,16 +58,16 @@ def check_stability(
     :func:`~repro.core.concurroid.state_graph`); the assertion is
     evaluated at most once per state per call.
 
-    When a static pre-pass is installed (see
-    :mod:`repro.analysis.prepass`), it is consulted first: if it proves
-    the exploration must find nothing, the BFS is skipped entirely and
-    the (identical) empty verdict returned.
+    When the installed :class:`~repro.core.verify.VerifyOptions` carry a
+    static pre-pass (see :mod:`repro.analysis.prepass`), it is consulted
+    first: if it proves the exploration must find nothing, the BFS is
+    skipped entirely and the (identical) empty verdict returned.
     """
     graph = state_graph(conc, states)
     # Function-local import: core must stay cycle-free.
-    from .verify import get_prepass, record_prepass_skip
+    from .verify import current_options, record_prepass_skip
 
-    prepass = get_prepass()
+    prepass = current_options().prepass
     if prepass is not None:
         try:
             if prepass.discharges(assertion, name, conc, graph):
@@ -183,16 +160,3 @@ def _record_stability_witness(
         record_witness(w.to_dict())
     except Exception:  # noqa: BLE001 - observability must not fail proofs
         pass
-
-
-def assert_stable(
-    assertion: Assertion,
-    name: str,
-    conc: Concurroid,
-    states: Iterable[State],
-    **kwargs,
-) -> None:
-    """Raise :class:`StabilityViolation` with counterexamples if unstable."""
-    issues = check_stability(assertion, name, conc, states, **kwargs)
-    if issues:
-        raise StabilityViolation("\n".join(str(i) for i in issues))

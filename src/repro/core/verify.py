@@ -32,49 +32,24 @@ from .world import World
 #: The obligation categories of Table 1.
 CATEGORIES = ("Libs", "Conc", "Acts", "Stab", "Main")
 
-# -- the static pre-pass hook -----------------------------------------------------------------
-#
-# When installed (see repro.analysis.prepass.static_prepass), the pre-pass
-# is consulted by dynamic checkers — currently check_stability — to skip
-# obligations whose outcome it can prove empty from lint facts.  The
-# registry is duck-typed (anything with ``discharges(assertion, name,
-# conc, states) -> bool`` and a ``skipped`` list) so core never imports
-# the analysis package.
-
-_PREPASS = None
-
-
-def set_prepass(prepass) -> None:
-    """Install (or, with ``None``, uninstall) the global static pre-pass.
-
-    The hook is *process*-global: the parallel engine
-    (:mod:`repro.engine`) installs one pre-pass per worker process.
-    """
-    global _PREPASS
-    _PREPASS = prepass
-
-
-def get_prepass():
-    """The currently installed static pre-pass, or ``None``."""
-    return _PREPASS
-
-
 # -- the verify options -------------------------------------------------------------------
 #
 # What a verifier run is asked to do beyond its program: the bounded
-# livelock detector, the explorer cap scale, and the obligation-name
-# filter.  The engine installs one VerifyOptions around each work
-# unit's run_verifier call (the filter comes with the unit, the rest
-# with the sweep); ReportBuilder.obligation and check_triple read only
-# that install.  Thread-local, like the plan sink below, and nothing
-# else — no process global, no environment — so a verdict depends only
-# on the program and the options it was run with.
+# livelock detector, the explorer cap scale, the obligation-name filter
+# and the static pre-pass.  The engine installs one VerifyOptions
+# around each work unit's run_verifier call (the filter comes with the
+# unit, the rest with the sweep); ReportBuilder.obligation,
+# check_triple and check_stability read only that install.
+# Thread-local, like the plan sink below, and nothing else — no process
+# global, no environment — so a verdict depends only on the program and
+# the options it was run with.
 
 
 @dataclass(frozen=True)
 class VerifyOptions:
     """The options one verifier run executes under; the defaults are
-    liveness off, full explorer caps and no obligation filter."""
+    liveness off, full explorer caps, no obligation filter and no
+    pre-pass."""
 
     #: Arm the explorer's bounded livelock detector.  Its findings are
     #: recorded as witnesses but never become issues — safety verdicts
@@ -90,6 +65,13 @@ class VerifyOptions:
     #: stale set of an incremental unit; the engine splices the cached
     #: results of the rest back in plan order.
     names: frozenset[str] | None = None
+    #: The static pre-pass :func:`repro.core.stability.check_stability`
+    #: consults before its BFS (``repro.analysis.prepass.StaticPrepass``
+    #: in a sweep).  Duck-typed -- anything with ``discharges(assertion,
+    #: name, conc, states) -> bool`` -- so core never imports the
+    #: analysis package.  It holds no state: the facts it derives live
+    #: on the protocol graph they describe.
+    prepass: Any = None
 
 
 _OPTIONS = threading.local()
@@ -186,57 +168,53 @@ class collecting_obligations:
         return iter(self.plan)
 
 
-# Skip attribution is scoped, not global: each in-flight obligation pushes
-# a frame, and a dynamic checker that skips work on the pre-pass's word
-# reports it to the *innermost* frame via record_prepass_skip.  Counting
-# ``len(prepass.skipped)`` deltas instead would misattribute skips for
-# nested obligations (the outer delta spans the inner's skips) and is a
-# data race under threads.  The stack is thread-local so concurrent
-# builders never see each other's frames.
-_SKIP_SCOPES = threading.local()
-
-
-def _skip_stack() -> list[list[str]]:
-    stack = getattr(_SKIP_SCOPES, "stack", None)
-    if stack is None:
-        stack = _SKIP_SCOPES.stack = []
-    return stack
-
-
-def record_prepass_skip(name: str) -> None:
-    """Attribute one statically discharged sub-obligation to the obligation
-    currently being timed (no-op outside any obligation scope)."""
-    stack = _skip_stack()
-    if stack:
-        stack[-1].append(name)
-
-
-# Witness attribution uses the same scoped mechanism: a dynamic checker
-# that captures a counterexample interleaving (check_triple, the
-# stability checker) hands its serialized image to the innermost
-# in-flight obligation, which attaches it to the ObligationResult — so
-# witnesses reach every verifier's report with zero per-verifier
-# plumbing, and survive engine IPC / cache round-trips as plain dicts.
-_WITNESS_SCOPES = threading.local()
+# Attribution is scoped, not global: each in-flight obligation pushes one
+# frame, and a dynamic checker reports to the *innermost* frame -- the
+# sub-obligations it skipped on the pre-pass's word (record_prepass_skip)
+# and the counterexample witnesses it captured (record_witness, from
+# check_triple and the stability checker).  Counting deltas of a shared
+# counter instead would misattribute skips for nested obligations (the
+# outer delta spans the inner's skips) and is a data race under threads.
+# The stack is thread-local so concurrent builders never see each
+# other's frames.  Witnesses are serialized images, so they reach every
+# verifier's report with zero per-verifier plumbing and survive engine
+# IPC / cache round-trips as plain dicts.
+_FRAMES = threading.local()
 
 #: Cap on witnesses attached per obligation: a weakened spec can fail at
 #: hundreds of terminals, and each capture costs one confirming replay.
 WITNESS_CAP = 3
 
 
-def _witness_stack() -> list[list[dict]]:
-    stack = getattr(_WITNESS_SCOPES, "stack", None)
+@dataclass
+class _ObligationFrame:
+    """What the dynamic checkers report to one in-flight obligation."""
+
+    skips: list[str] = field(default_factory=list)
+    witnesses: list[dict] = field(default_factory=list)
+
+
+def _frames() -> list[_ObligationFrame]:
+    stack = getattr(_FRAMES, "stack", None)
     if stack is None:
-        stack = _WITNESS_SCOPES.stack = []
+        stack = _FRAMES.stack = []
     return stack
+
+
+def record_prepass_skip(name: str) -> None:
+    """Attribute one statically discharged sub-obligation to the obligation
+    currently being timed (no-op outside any obligation scope)."""
+    stack = _frames()
+    if stack:
+        stack[-1].skips.append(name)
 
 
 def record_witness(witness: dict) -> None:
     """Attach one serialized counterexample witness to the obligation
     currently being timed (no-op outside any obligation scope)."""
-    stack = _witness_stack()
-    if stack and len(stack[-1]) < WITNESS_CAP:
-        stack[-1].append(witness)
+    stack = _frames()
+    if stack and len(stack[-1].witnesses) < WITNESS_CAP:
+        stack[-1].witnesses.append(witness)
 
 
 #: Longest traceback recorded on an obligation that raised (the tail is
@@ -413,12 +391,9 @@ class ReportBuilder:
             # engine.  Neither executed nor recorded; the dummy result is
             # returned (not appended) for signature parity.
             return ObligationResult(name, category, True, [], 0.0)
-        scope: list[str] = []
-        stack = _skip_stack()
-        stack.append(scope)
-        witnesses: list[dict] = []
-        wstack = _witness_stack()
-        wstack.append(witnesses)
+        frame = _ObligationFrame()
+        stack = _frames()
+        stack.append(frame)
         tb: str | None = None
         started = time.perf_counter()
         try:
@@ -428,9 +403,9 @@ class ReportBuilder:
             tb = _traceback.format_exc()[-MAX_TRACEBACK_CHARS:]
         finally:
             stack.pop()
-            wstack.pop()
         elapsed = time.perf_counter() - started
-        skips = len(scope)
+        skips = len(frame.skips)
+        witnesses = frame.witnesses
         result = ObligationResult(
             name,
             category,
@@ -470,7 +445,6 @@ def check_triple(
     env_budget: int = 0,
     max_configs: int = 200_000,
     domination: bool = True,
-    liveness: bool | None = None,
 ) -> list[TripleOutcome]:
     """Check ``spec`` on every scenario by exhaustive schedule exploration.
 
@@ -480,19 +454,18 @@ def check_triple(
     against the root thread's final subjective view and the initial
     snapshot.
 
-    ``liveness`` turns on the explorer's bounded livelock detector:
-    progress-free act/env lassos land in ``ExplorationResult.cycles``
+    The installed :class:`VerifyOptions` may turn on the explorer's
+    bounded livelock detector (``liveness``, off unless a sweep opted
+    in): progress-free act/env lassos land in ``ExplorationResult.cycles``
     and are recorded as replayable witnesses, but never become issues —
-    safety verdicts are unchanged by construction.  ``None`` defers to
-    the installed :class:`VerifyOptions` (off unless a sweep opted in),
-    whose ``cap_scale`` also scales ``max_configs``.
+    safety verdicts are unchanged by construction.  Its ``cap_scale``
+    scales ``max_configs``.
     """
     # Imported here to break the core <-> semantics import cycle.
     from ..semantics.explore import explore
     from ..semantics.interp import initial_config
 
     options = current_options()
-    use_liveness = options.liveness if liveness is None else liveness
     cap_scale = options.cap_scale
     if cap_scale < 1.0:
         # Watchdog degradation rung 2: shrink the state budget rather
@@ -532,7 +505,7 @@ def check_triple(
             max_configs=max_configs,
             on_terminal=on_terminal,
             domination=domination,
-            liveness=use_liveness,
+            liveness=options.liveness,
         )
         tr = obs_tracer.current()
         if tr is not None:
@@ -556,7 +529,7 @@ def check_triple(
             _record_witnesses(
                 world, scenario, on_terminal, result.violations, max_steps, outcome
             )
-        if use_liveness and result.cycles:
+        if options.liveness and result.cycles:
             # Livelock lassos are observational: witnessed (capture
             # scope, innermost obligation, the outcome) but never issues
             # — the safety verdict must not depend on the liveness flag.

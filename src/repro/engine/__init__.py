@@ -53,7 +53,6 @@ from .journal import (
     JOURNAL_SCHEMA_VERSION,
     JournalImage,
     SweepJournal,
-    iter_events,
     journal_path,
     load_image,
     read_journal,
@@ -109,7 +108,6 @@ __all__ = [
     "default_jobs",
     "dir_bytes",
     "framework_digest",
-    "iter_events",
     "journal_path",
     "load_image",
     "module_source",

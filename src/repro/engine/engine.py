@@ -7,15 +7,12 @@ run.  The engine fixes both ends:
 
 * **Parallelism** — pending case studies fan out across a
   ``multiprocessing`` pool, one worker per case study (capped by
-  ``--jobs``).  The fcsl-lint static pre-pass is installed *per worker
-  process* by the pool initializer: the ``repro.core.verify`` pre-pass
-  hook is process-global, so each worker owns a private
-  :class:`~repro.analysis.prepass.StaticPrepass`, and skip attribution
+  ``--jobs``).  The fcsl-lint static pre-pass rides in the sweep's
+  :class:`~repro.core.verify.VerifyOptions` (``prepass=``), which the
+  unit worker carries to a pool worker and installs around every unit
+  in-process alike; the pre-pass holds no state, and skip attribution
   inside ``ReportBuilder`` is scoped (see
-  :func:`repro.core.verify.record_prepass_skip`) rather than derived
-  from global counter deltas.  Units that run in this process instead
-  (``--jobs 1``, or a pool that cannot be built) all share one install
-  rule: :func:`_in_process_prepass`.
+  :func:`repro.core.verify.record_prepass_skip`).
 * **Caching** — verdicts persist in an on-disk
   :class:`~repro.engine.cache.ObligationCache` keyed by content
   fingerprint; unchanged case studies are verdict-replayed instantly on
@@ -55,20 +52,18 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from pathlib import Path
 
+from ..analysis.prepass import StaticPrepass
 from ..core.verify import (
     CATEGORIES,
     VerificationReport,
     VerifyOptions,
     collecting_obligations,
-    get_prepass,
     options_installed,
-    set_prepass,
 )
 from ..obs import tracer as obs_tracer
 from ..structures.registry import ProgramInfo, all_programs, registry_programs
@@ -354,57 +349,12 @@ def resolve_programs(names: Iterable[str] | None = None) -> tuple[ProgramInfo, .
 # -- worker-side pieces (module-level: they must survive pickling) -------------
 
 
-def _install_worker_prepass() -> None:
-    """Pool initializer: give this worker process its own static pre-pass.
-
-    The pre-pass hook and its fact store are process-global, so sharing
-    one across workers is impossible (and the point: each worker amortizes
-    model sweeps over the obligations *it* runs, with no cross-process
-    races on the ``skipped`` list)."""
-    from ..analysis.prepass import StaticPrepass
-
-    set_prepass(StaticPrepass())
-
-
-def _uninstall_worker_prepass() -> None:
-    """Pool initializer for ``prepass=False``: under a ``fork`` start
-    method a worker inherits whatever pre-pass the parent had installed —
-    clear it so "no pre-pass" means what it says."""
-    set_prepass(None)
-
-
-@contextmanager
-def _in_process_prepass(prepass: bool, resident: Any) -> Iterator[Any]:
-    """The one pre-pass install rule for every unit run in this process
-    (``--jobs 1`` and the degraded fallback alike): the caller's
-    ``resident`` pre-pass, else a fresh
-    :class:`~repro.analysis.prepass.StaticPrepass` — or none at all when
-    ``prepass`` is off, even over one the caller had installed.  The
-    serve daemon passes its resident pre-pass so its skip counters span
-    requests (a sweep verdict is still shared only by the obligations of
-    one run).  The caller's pre-pass is restored on exit."""
-    if not prepass:
-        installed = None
-    elif resident is not None:
-        installed = resident
-    else:
-        from ..analysis.prepass import StaticPrepass
-
-        installed = StaticPrepass()
-    previous = get_prepass()
-    set_prepass(installed)
-    try:
-        yield installed
-    finally:
-        set_prepass(previous)
-
-
 class _UnitWorker:
     """The callable every dispatch path runs a work unit with.
 
     It carries the sweep-level :class:`~repro.core.verify.VerifyOptions`
-    (liveness, explorer cap scale); an incremental unit adds its
-    obligation-name filter (``WorkUnit.names``).  A pool pickles the
+    (liveness, explorer cap scale, static pre-pass); an incremental unit
+    adds its obligation-name filter (``WorkUnit.names``).  A pool pickles the
     callable with every dispatch, so the watchdog's rung-2 shrink —
     which replaces ``options`` — reaches every unit dispatched after it,
     in a pool worker and in-process alike.
@@ -772,8 +722,6 @@ def _execute(
     worker: _UnitWorker,
     *,
     jobs: int | None,
-    prepass: bool,
-    resident_prepass: Any,
     timeout: float | None,
     retries: int,
     backoff: float,
@@ -845,17 +793,13 @@ def _execute(
             throttle=watchdog.throttle(jobs) if watchdog is not None else None,
             should_stop=watchdog.stop_reason if watchdog is not None else None,
         ),
-        initializer=(
-            _install_worker_prepass if prepass else _uninstall_worker_prepass
-        ),
         on_lease=_journal_lease,
         on_result=_journal_result,
     )
     try:
         if watchdog is not None:
             watchdog.start()
-        with _in_process_prepass(prepass, resident_prepass):
-            outcome = supervisor.run() if jobs > 1 else supervisor.run_serial()
+        outcome = supervisor.run() if jobs > 1 else supervisor.run_serial()
     finally:
         if watchdog is not None:
             watchdog.stop()
@@ -990,7 +934,6 @@ def sweep(
     max_disk_mb: float | None = None,
     on_lease: Any = None,
     on_result: Any = None,
-    resident_prepass: Any = None,
 ) -> SweepResult:
     """Verify ``programs``, replaying cached verdicts and fanning the rest
     out over ``jobs`` supervised worker processes (``None`` = one per
@@ -998,9 +941,12 @@ def sweep(
     The phases, in order: journal replay, cache replay, incremental
     planning, execute, merge.
 
-    ``liveness`` arms the bounded livelock detector in every unit (it
-    travels with the worker callable, see :class:`_UnitWorker`): lassos
-    become witnesses, never issues, so verdicts and cached reports are
+    ``prepass`` (default on) hands every unit a
+    :class:`~repro.analysis.prepass.StaticPrepass`; off, none is
+    consulted, whatever the caller has installed.  ``liveness`` arms the
+    bounded livelock detector in every unit.  Both travel with the
+    worker callable (see :class:`_UnitWorker`): lassos become
+    witnesses, never issues, so verdicts and cached reports are
     unaffected.  ``timeout`` bounds each unit's wall clock per attempt
     (pool path only); ``retries`` re-dispatches crashed/timed-out/raised
     units with exponential ``backoff``.  ``faults`` installs a
@@ -1028,10 +974,9 @@ def sweep(
 
     ``on_lease(unit_name, attempt, lease_seconds)`` and
     ``on_result(TaskResult)`` are best-effort progress taps (the serve
-    daemon streams them to its clients).  ``resident_prepass`` is a
-    caller-owned pre-pass for every unit run in this process (see
-    :func:`_in_process_prepass`).  Every requested program gets an outcome:
-    infrastructure faults quarantine a program instead of killing the run.
+    daemon streams them to its clients).  Every requested program gets
+    an outcome: infrastructure faults quarantine a program instead of
+    killing the run.
     """
     started = time.perf_counter()
     tr = obs_tracer.current()
@@ -1054,7 +999,9 @@ def sweep(
         tr=tr,
     )
     sj = state.journal
-    worker = _UnitWorker(VerifyOptions(liveness=liveness))
+    worker = _UnitWorker(
+        VerifyOptions(liveness=liveness, prepass=StaticPrepass() if prepass else None)
+    )
 
     # The plan stays installed for the whole body: cache stores, journal
     # appends and the workers all have injectable fault sites.
@@ -1067,8 +1014,6 @@ def sweep(
             state,
             worker,
             jobs=jobs,
-            prepass=prepass,
-            resident_prepass=resident_prepass,
             timeout=timeout,
             retries=retries,
             backoff=backoff,

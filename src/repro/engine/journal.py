@@ -49,7 +49,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from ..obs.tracer import instant as _trace_instant
 from .faults import maybe_diskfull, maybe_sigkill
@@ -299,8 +299,3 @@ def load_image(path: Path | str) -> JournalImage:
         elif event == "sweep:end":
             image.completed = True
     return image
-
-
-def iter_events(path: Path | str) -> Iterator[dict[str, Any]]:
-    """Raw intact records in order — forensics/test helper."""
-    yield from read_journal(path)

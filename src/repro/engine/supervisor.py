@@ -198,14 +198,12 @@ class Supervisor:
         *,
         worker: Callable[..., dict[str, Any]],
         config: SupervisorConfig,
-        initializer: Callable[[], None] | None = None,
         on_lease: Callable[[str, int, float | None], None] | None = None,
         on_result: Callable[[TaskResult], None] | None = None,
     ):
         self.programs = list(programs)
         self.worker = worker
         self.config = config
-        self.initializer = initializer
         #: Incremental hooks for the durable journal: ``on_lease(name,
         #: attempt, timeout)`` as a task goes in-flight, ``on_result``
         #: the moment a task reaches its final :class:`TaskResult` —
@@ -247,9 +245,7 @@ class Supervisor:
     # -- pool lifecycle --------------------------------------------------------
 
     def _make_pool(self):
-        return multiprocessing.Pool(
-            processes=self.config.jobs, initializer=self.initializer
-        )
+        return multiprocessing.Pool(processes=self.config.jobs)
 
     def _teardown_pool(self) -> None:
         pool, self._pool = self._pool, None

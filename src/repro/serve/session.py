@@ -5,13 +5,6 @@ between requests:
 
 * the **registry**: case-study modules stay imported (the daemon's
   process *is* the warm interpreter);
-* the **static pre-pass**: one resident
-  :class:`~repro.analysis.prepass.StaticPrepass` is installed for every
-  in-process sweep, for its ``status`` counters.  Its env-closure sweep
-  memo is per run: an entry lives as long as the concurroid it
-  describes, and verifiers build fresh concurroids on every run, so the
-  Stab obligations of one run share a sweep and nothing accrues across
-  requests;
 * the **import edges** of every case-study module, parsed once per
   source version (:class:`~repro.serve.reload.ModuleTracker`);
 * the **dependency-cone fingerprints**: per-program fingerprints are
@@ -19,6 +12,11 @@ between requests:
 * the **obligation cache**: a resident handle plus the OS page cache
   over its entries; daemon verifies run ``incremental`` by default, so
   an edit re-executes only the stale cone (PR 9 machinery).
+
+The static pre-pass is not resident: each verify's sweep carries a
+stateless :class:`~repro.analysis.prepass.StaticPrepass` in its options,
+and the one fact it derives lives on the run's protocol graphs, so
+nothing of it accrues across requests.
 
 Requests are dispatched strictly one at a time — the server feeds a
 single dispatcher thread through a queue — so resident state needs no
@@ -80,13 +78,11 @@ class Session:
         jobs: int | None = 1,
         trace_dir: str | None = None,
     ) -> None:
-        from ..analysis.prepass import StaticPrepass
         from ..engine.cache import ObligationCache
 
         self.cache_dir = cache_dir
         self.jobs = jobs
         self.trace_dir = trace_dir
-        self.prepass = StaticPrepass()
         self.cache = ObligationCache(cache_dir)
         self.tracker = ModuleTracker()
         self.fingerprints: dict[str, str] = {}
@@ -189,10 +185,6 @@ class Session:
             "requests": dict(self.requests),
             "stale_framework": self.tracker.stale_framework,
             "fingerprints_resident": len(self.fingerprints),
-            "prepass": {
-                "consulted": self.prepass.consulted,
-                "skipped": len(self.prepass.skipped),
-            },
         }
         return result_frame(request.id, "status", 0, payload)
 
@@ -266,7 +258,6 @@ class Session:
                 incremental=incremental,
                 on_lease=on_lease,
                 on_result=on_result,
-                resident_prepass=self.prepass,
             )
         except KeyError as exc:
             return error_frame(request.id, "bad-request", str(exc.args[0]))

@@ -14,15 +14,16 @@ import pytest
 
 from repro.analysis import (
     Severity,
+    StaticPrepass,
     lint_registry,
-    static_prepass,
     worst_severity,
 )
 from repro.analysis.runner import missing_targets
 from repro.analysis.specs import probe_self_framed
 from repro.analysis.targets import TARGET_BUILDERS, bounded_closure, target_for
+from repro.core.concurroid import state_graph
 from repro.core.stability import check_stability
-from repro.core.verify import get_prepass, set_prepass
+from repro.core.verify import ReportBuilder, VerifyOptions, options_installed
 from repro.structures.registry import registry_programs
 
 from .helpers import CELL, LABEL, CounterConcurroid, counter_state
@@ -70,15 +71,31 @@ def counter_family():
     return conc, states
 
 
+def _with_prepass(fn, prepass=None):
+    """Run ``fn`` as one obligation under a pre-pass; returns what ``fn``
+    returned and the obligation's skip count."""
+    out = []
+    options = VerifyOptions(prepass=prepass or StaticPrepass())
+    with options_installed(options):
+        result = ReportBuilder("demo").obligation(
+            "stab", "Stab", lambda: out.append(fn()) or []
+        )
+    return out[0], result.prepass_skips
+
+
 def test_prepass_discharges_self_framed_assertion(counter_family):
     conc, states = counter_family
     assertion = lambda s: s.self_of(LABEL) == 0  # noqa: E731
     baseline = check_stability(assertion, "self-zero", conc, states)
     assert baseline == []
-    with static_prepass() as pp:
-        skipped = check_stability(assertion, "self-zero", conc, states)
+    graph = state_graph(conc, states)
+    skipped, skips = _with_prepass(
+        lambda: check_stability(assertion, "self-zero", conc, graph)
+    )
     assert skipped == baseline
-    assert pp.consulted == 1 and pp.skipped == ["self-zero"]
+    assert skips == 1
+    # the env sweep's verdict is kept on the graph it describes
+    assert graph.env_verdict is True
 
 
 def test_prepass_never_discharges_joint_dependent_assertion(counter_family):
@@ -88,55 +105,42 @@ def test_prepass_never_discharges_joint_dependent_assertion(counter_family):
     assert not framed
     baseline = check_stability(assertion, "cell-zero", conc, states)
     assert baseline  # genuinely unstable under env bumps
-    with static_prepass() as pp:
-        issues = check_stability(assertion, "cell-zero", conc, states)
+    issues, skips = _with_prepass(
+        lambda: check_stability(assertion, "cell-zero", conc, states)
+    )
     assert [str(i) for i in issues] == [str(i) for i in baseline]
-    assert pp.skipped == []
+    assert skips == 0
 
 
 def test_prepass_consumes_iterators_safely(counter_family):
     conc, states = counter_family
     assertion = lambda s: s.joint_of(LABEL)[CELL] == 0  # noqa: E731
-    with static_prepass():
-        issues = check_stability(assertion, "cell-zero", conc, iter(states))
+    issues, __ = _with_prepass(
+        lambda: check_stability(assertion, "cell-zero", conc, iter(states))
+    )
     # The pre-pass materializes the family; the BFS still sees every state.
     assert issues == check_stability(assertion, "cell-zero", conc, states)
-
-
-def test_prepass_installs_and_uninstalls():
-    assert get_prepass() is None
-    with static_prepass() as pp:
-        assert get_prepass() is pp
-    assert get_prepass() is None
-    # ... even when the body raises.
-    with pytest.raises(RuntimeError):
-        with static_prepass():
-            raise RuntimeError("boom")
-    assert get_prepass() is None
 
 
 def test_broken_prepass_never_fails_a_proof(counter_family):
     conc, states = counter_family
 
     class Exploding:
-        skipped = []
-
         def discharges(self, *args):
             raise RuntimeError("bad prepass")
 
-    set_prepass(Exploding())
-    try:
-        issues = check_stability(
+    issues, skips = _with_prepass(
+        lambda: check_stability(
             lambda s: s.self_of(LABEL) == 0, "self-zero", conc, states
-        )
-    finally:
-        set_prepass(None)
-    assert issues == []
+        ),
+        Exploding(),
+    )
+    assert issues == [] and skips == 0
 
 
 def test_prepass_skips_are_reported():
     info = next(i for i in registry_programs() if i.name == "CAS-lock")
-    with static_prepass():
+    with options_installed(VerifyOptions(prepass=StaticPrepass())):
         report = info.verifier()
     assert report.ok and report.prepass_skips >= 1
     assert "statically discharged" in report.pretty()

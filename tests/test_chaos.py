@@ -315,8 +315,7 @@ class TestDegradedPool:
     def test_degraded_sweep_honours_no_prepass(self, monkeypatch):
         import multiprocessing
 
-        from repro.analysis.prepass import static_prepass
-        from repro.core.verify import get_prepass
+        from repro.core.verify import VerifyOptions, options_installed
         from repro.engine import run_sweep
 
         def no_pool(*args, **kwargs):
@@ -325,7 +324,14 @@ class TestDegradedPool:
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         # Two programs, so jobs=2 really asks for a pool (one program
         # would clamp to the serial path without degrading).
-        with static_prepass() as outer:
+        consulted = []
+
+        class Counting:
+            def discharges(self, *args):
+                consulted.append(args[1])
+                return True
+
+        with options_installed(VerifyOptions(prepass=Counting())):
             result = run_sweep(
                 ["CAS-lock", "Ticketed lock"],
                 jobs=2,
@@ -333,9 +339,8 @@ class TestDegradedPool:
                 journal=False,
                 prepass=False,
             )
-            assert get_prepass() is outer
         assert result.degraded
-        assert outer.consulted == 0
+        assert consulted == []
         assert [o.to_dict()["prepass_skips"] for o in result.outcomes] == [0, 0]
         assert all(o.report is not None and o.report.ok for o in result.outcomes)
 

@@ -335,21 +335,26 @@ class TestRegistryCones:
 
     @pytest.mark.slow
     def test_fingerprints_independent_of_sibling_runs(self):
-        # A sweep shares one StaticPrepass across its programs; its memo
-        # pins sibling concurroids.  Ticketed's stability obligations
-        # reach the prepass global, so without the ``__deps_opaque__``
-        # cut their fingerprints depend on which siblings ran first in
-        # the process (CAS-lock first used to add six CASLockConcurroid
-        # definitions to every Stab cone) — spurious staleness on the
-        # next incremental diff.
-        from repro.analysis.prepass import static_prepass
-        from repro.core.verify import collecting_obligations
+        # A sweep shares one pre-pass across its programs.  When it
+        # kept a memo that pinned sibling concurroids, Ticketed's Stab
+        # cones depended on which siblings ran first in the process
+        # (CAS-lock first used to add six CASLockConcurroid definitions
+        # to every Stab cone) — spurious staleness on the next
+        # incremental diff.  The shared pre-pass must stay invisible to
+        # the dependency walk.
+        from repro.analysis.prepass import StaticPrepass
+        from repro.core.verify import (
+            VerifyOptions,
+            collecting_obligations,
+            options_installed,
+        )
 
         progs = {i.name: i for i in registry_programs()}
         info, sibling = progs["Ticketed lock"], progs["CAS-lock"]
+        options = VerifyOptions(prepass=StaticPrepass())
 
         def fingerprints(run_sibling: bool):
-            with static_prepass():
+            with options_installed(options):
                 if run_sibling:
                     sibling.run_verifier()
                 with collecting_obligations(execute=True) as col:

@@ -19,7 +19,8 @@ from repro.core.verify import (
     ObligationResult,
     ReportBuilder,
     VerificationReport,
-    set_prepass,
+    VerifyOptions,
+    options_installed,
 )
 from repro.engine import (
     ObligationCache,
@@ -300,9 +301,8 @@ class TestScopedSkipAccounting:
     @pytest.fixture()
     def prepass(self):
         pp = self._AlwaysDischarges()
-        set_prepass(pp)
-        yield pp
-        set_prepass(None)
+        with options_installed(VerifyOptions(prepass=pp)):
+            yield pp
 
     @staticmethod
     def _skip_one(name):
@@ -348,37 +348,15 @@ class TestScopedSkipAccounting:
 
 
 class TestPrepassInstallation:
-    """A pre-pass installed by the caller survives nested pre-passes and
-    serial sweeps, and ``prepass=False`` means none is consulted."""
-
-    def test_static_prepass_blocks_nest(self):
-        from repro.analysis.prepass import static_prepass
-        from repro.core.verify import get_prepass
-
-        with static_prepass() as outer:
-            with static_prepass() as inner:
-                assert get_prepass() is inner
-            assert get_prepass() is outer
-        assert get_prepass() is None
-
-    def test_serial_sweep_restores_the_callers_prepass(self):
-        from repro.analysis.prepass import static_prepass
-        from repro.core.verify import get_prepass
-
-        with static_prepass() as outer:
-            result = run_sweep(["Prod/Cons"], jobs=1, cache=False, journal=False)
-            assert get_prepass() is outer
-        assert result.ok
+    """The pre-pass rides in the sweep's options: ``prepass=False`` means
+    none is consulted, whatever the caller has installed."""
 
     def test_serial_sweep_without_prepass_ignores_the_callers(self):
-        from repro.analysis.prepass import static_prepass
-        from repro.core.verify import get_prepass
-
-        with static_prepass() as outer:
+        outer = TestScopedSkipAccounting._AlwaysDischarges()
+        with options_installed(VerifyOptions(prepass=outer)):
             result = run_sweep(
                 ["CAS-lock"], jobs=1, cache=False, journal=False, prepass=False
             )
-            assert get_prepass() is outer
         assert result.ok
         assert result.outcome("CAS-lock").report.prepass_skips == 0
         assert outer.consulted == 0

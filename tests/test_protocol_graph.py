@@ -264,16 +264,16 @@ def check_stability(
     """Check ``assertion`` stable from every state in ``states`` where it
     holds (and which is coherent).
 
-    When a static pre-pass is installed (see
+    When the installed options carry a static pre-pass (see
     :mod:`repro.analysis.prepass`), it is consulted first: if it proves
     the exploration must find nothing, the BFS is skipped entirely and
     the (identical) empty verdict returned.
     """
     states = list(states)  # the pre-pass must not consume a caller's iterator
     # Function-local import: core must stay cycle-free.
-    from repro.core.verify import get_prepass, record_prepass_skip
+    from repro.core.verify import current_options, record_prepass_skip
 
-    prepass = get_prepass()
+    prepass = current_options().prepass
     if prepass is not None:
         try:
             if prepass.discharges(assertion, name, conc, states):
@@ -983,6 +983,7 @@ class TestCanonicalKeys:
         "env",
         "trans",
         "coherence",
+        "env_verdict",
         "framing_masks",
         "real_heaps",
         "interned",
