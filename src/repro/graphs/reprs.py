@@ -37,7 +37,17 @@ class NotAGraphError(ValueError):
 
 
 def is_graph(h: Heap) -> bool:
-    """The ``graph h`` predicate: validity plus well-formed node triples."""
+    """The ``graph h`` predicate: validity plus well-formed node triples.
+
+    Heaps are immutable, so the verdict is computed once per heap object
+    and cached on it."""
+    verdict = h._graph
+    if verdict is None:
+        verdict = h._graph = _well_formed(h)
+    return verdict
+
+
+def _well_formed(h: Heap) -> bool:
     if not h.is_valid:
         return False
     domain = h.dom()

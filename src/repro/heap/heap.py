@@ -26,7 +26,11 @@ class Heap:
     build heaps; ``h1.join(h2)`` is the paper's ``h1 \\+ h2``.
     """
 
-    __slots__ = ("_items", "_hash", "_is_valid")
+    #: ``_graph`` caches the ``graph h`` verdict of
+    #: :func:`repro.graphs.reprs.is_graph` (None until first asked), the
+    #: way ``_hash`` caches the hash: heaps are immutable, so it never
+    #: goes stale.
+    __slots__ = ("_items", "_hash", "_is_valid", "_graph")
 
     def __init__(self, items: Mapping[Ptr, Any] | None = None, *, _valid: bool = True):
         if not _valid:
@@ -42,6 +46,7 @@ class Heap:
             self._items = items
             self._is_valid = True
         self._hash: int | None = None
+        self._graph: bool | None = None
 
     @classmethod
     def _of(cls, items: dict[Ptr, Any]) -> "Heap":
@@ -51,10 +56,11 @@ class Heap:
         heap._items = items
         heap._is_valid = True
         heap._hash = None
+        heap._graph = None
         return heap
 
     def __reduce__(self) -> tuple:
-        # The cached hash is per process, so it is never pickled; the
+        # The cached hash and graph verdict are never pickled; the
         # undefined heap unpickles as the ``UNDEF`` singleton.
         if not self._is_valid:
             return (_undefined, ())

@@ -9,19 +9,38 @@ around positive integers; ``NULL`` wraps 0 and is falsy, so idioms like
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Ptr:
-    """A heap pointer.  ``Ptr(0)`` is the null pointer."""
+    """A heap pointer.  ``Ptr(0)`` is the null pointer.
+
+    Every heap lookup hashes and compares pointers, so the hash is
+    computed once, at construction.  It is exactly the hash the generated
+    dataclass ``__hash__`` would give (``hash((addr,))``), so the
+    iteration order of sets and dicts of pointers is unchanged."""
 
     addr: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.addr < 0:
             raise ValueError(f"pointer address must be non-negative, got {self.addr}")
+        object.__setattr__(self, "_hash", hash((self.addr,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.addr == other.addr
+        return NotImplemented
+
+    def __reduce__(self) -> tuple:
+        # The cached hash is rebuilt by the constructor on unpickling.
+        return (Ptr, (self.addr,))
 
     @property
     def is_null(self) -> bool:

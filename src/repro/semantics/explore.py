@@ -14,10 +14,15 @@ Partial correctness: paths that exceed the step bound are *truncated*, not
 failed (they correspond to executions that have not terminated yet), and
 the count of truncated paths is reported.
 
-Memory compaction (``compact=True``, the default) stores visit records
-instead of whole configurations in the dedupe memo and hash-conses the
-position keys, so resident memory tracks the *frontier*, not the entire
-visited graph.
+Each step pays only for what it changed: a position key is the shared
+state plus one record per thread, each thread caches its record (clones
+share it) and its continuations' fingerprints, and a step rebuilds only
+the records of the threads it moved (see
+:meth:`~repro.semantics.interp.ThreadCtx.position_record`).  Memory
+compaction (``compact=True``, the default) stores visit records instead
+of whole configurations in the dedupe memo and hash-conses each new
+thread record and its sections, so resident memory tracks the
+*frontier*, not the entire visited graph.
 """
 
 from __future__ import annotations
@@ -87,27 +92,6 @@ class ExplorationResult:
         return body
 
 
-#: Hash-consing depth for position keys: deep enough to share the per-key
-#: sections and the per-thread records (the parts that repeat across
-#: neighbouring configurations, where only one thread moved), shallow
-#: enough that interning stays a small constant per key.
-_INTERN_DEPTH = 3
-
-
-def _intern(obj: Any, table: dict[Any, Any], depth: int = _INTERN_DEPTH) -> Any:
-    """Hash-cons ``obj``: structurally equal (sub)tuples share one object.
-
-    Position keys of neighbouring configurations differ in one thread's
-    record and share everything else; without interning each key stores
-    its own copy of the unchanged parts.  Interning down to
-    ``_INTERN_DEPTH`` levels makes the memo's resident size track the
-    number of *distinct* subrecords instead of distinct keys.
-    """
-    if depth and isinstance(obj, tuple):
-        obj = tuple(_intern(item, table, depth - 1) for item in obj)
-    return table.setdefault(obj, obj)
-
-
 def explore(
     config: Config,
     *,
@@ -171,7 +155,10 @@ def explore(
     #: anchoring the ThreadCtx objects keeps those ids from being recycled
     #: without pinning whole configurations (and their traces).
     anchors: list[Any] = _anchors if _anchors is not None else []
-    intern_table: dict[Any, Any] = {}
+    #: Hash-consing table for position-key sections (compact mode):
+    #: records and shared-state entries repeat across neighbouring keys,
+    #: so stored keys share one copy of each.
+    intern_table: dict[Any, Any] | None = {} if compact else None
     # A single contextvar read up front: per-config work stays free when
     # tracing is off (the span below is emitted once, at the end).
     tr = _obs.current()
@@ -183,13 +170,11 @@ def explore(
             current, env_used = stack.pop()
             if dedupe:
                 try:
-                    pos = current.position_key()
+                    pos = current.position_key(intern_table)
                 except Exception:  # noqa: BLE001 - unfingerprintable: fall back
                     pos = None
                     result.unfingerprinted += 1
                 if pos is not None:
-                    if compact:
-                        pos = _intern(pos, intern_table)
                     visits = seen.setdefault(pos, [])
                     if liveness and visits and current.trace is not None:
                         # Observe (never prune): a revisit whose trace

@@ -23,6 +23,7 @@ atomic actions — the granularity at which FCSL's proof rules reason.
 
 from __future__ import annotations
 
+import types
 from typing import Any, Callable, Hashable, Iterator
 
 from ..core.concurroid import Concurroid
@@ -38,7 +39,7 @@ from .trace import Event, Trace
 MAX_ADMIN_STEPS = 100_000
 
 
-def fingerprint(obj: Any, _seen: frozenset = frozenset()) -> Hashable:
+def fingerprint(obj: Any, _seen: frozenset = frozenset(), _unstable: list | None = None) -> Hashable:
     """A structural fingerprint for program positions.
 
     Continuations are Python closures, so object identity cannot detect
@@ -50,31 +51,54 @@ def fingerprint(obj: Any, _seen: frozenset = frozenset()) -> Hashable:
     Self-referential closures (``ffix``'s recursive knot) are cut with a
     cycle marker.  Unrecognised/unhashable values fall back to ``id`` —
     weaker (fewer merges) but still sound, provided the caller keeps the
-    fingerprinted configuration alive (so ids are not recycled)."""
+    fingerprinted configuration alive (so ids are not recycled).
+
+    A closure cell that is still empty fingerprints as a marker, and the
+    cell may be bound later; when ``_unstable`` is given, such a cell
+    appends to it, telling the caller not to cache this fingerprint."""
     if obj is None or isinstance(obj, (int, str, bool, float, bytes)):
         return obj
     if isinstance(obj, tuple):
-        return tuple(fingerprint(x, _seen) for x in obj)
+        return tuple(fingerprint(x, _seen, _unstable) for x in obj)
+    if not isinstance(obj, _NESTING):
+        return _leaf(obj)  # nothing below it, so it closes no cycle
     if id(obj) in _seen:
         return ("cycle",)
     _seen = _seen | {id(obj)}
     if isinstance(obj, Ret):
-        return ("Ret", fingerprint(obj.value, _seen))
+        return ("Ret", fingerprint(obj.value, _seen, _unstable))
     if isinstance(obj, Bind):
-        return ("Bind", fingerprint(obj.first, _seen), fingerprint(obj.cont, _seen))
+        return (
+            "Bind",
+            fingerprint(obj.first, _seen, _unstable),
+            fingerprint(obj.cont, _seen, _unstable),
+        )
     if isinstance(obj, ActCall):
-        return ("Act", id(obj.action), fingerprint(obj.args, _seen))
+        return ("Act", id(obj.action), fingerprint(obj.args, _seen, _unstable))
     if isinstance(obj, Par):
-        return ("Par", fingerprint(obj.left, _seen), fingerprint(obj.right, _seen))
+        return (
+            "Par",
+            fingerprint(obj.left, _seen, _unstable),
+            fingerprint(obj.right, _seen, _unstable),
+        )
     if isinstance(obj, Call):
-        return ("Call", fingerprint(obj.fn, _seen), fingerprint(obj.args, _seen))
+        return (
+            "Call",
+            fingerprint(obj.fn, _seen, _unstable),
+            fingerprint(obj.args, _seen, _unstable),
+        )
     if isinstance(obj, HideProg):
         return (
             "Hide",
             id(obj.concurroid),
-            fingerprint(obj.donate, _seen),
-            tuple(sorted((k, fingerprint(v, _seen)) for k, v in obj.initial_selfs.items())),
-            fingerprint(obj.body, _seen),
+            fingerprint(obj.donate, _seen, _unstable),
+            tuple(
+                sorted(
+                    (k, fingerprint(v, _seen, _unstable))
+                    for k, v in obj.initial_selfs.items()
+                )
+            ),
+            fingerprint(obj.body, _seen, _unstable),
             obj.priv_label,
         )
     if isinstance(obj, _UnhideKont):
@@ -82,10 +106,8 @@ def fingerprint(obj: Any, _seen: frozenset = frozenset()) -> Hashable:
             "Unhide",
             id(obj.concurroid),
             obj.priv_label,
-            fingerprint(obj.reclaim, _seen),
+            fingerprint(obj.reclaim, _seen, _unstable),
         )
-    import types
-
     if isinstance(obj, types.MethodType):
         return ("method", id(obj.__func__.__code__), id(obj.__self__))
     if isinstance(obj, types.FunctionType):
@@ -93,10 +115,16 @@ def fingerprint(obj: Any, _seen: frozenset = frozenset()) -> Hashable:
         if obj.__closure__:
             for c in obj.__closure__:
                 try:
-                    cells.append(fingerprint(c.cell_contents, _seen))
+                    cells.append(fingerprint(c.cell_contents, _seen, _unstable))
                 except ValueError:  # empty cell (not yet bound)
                     cells.append(("empty-cell",))
+                    if _unstable is not None:
+                        _unstable.append(obj)
         return ("fn", id(obj.__code__), tuple(cells))
+    return _leaf(obj)  # a Prog node of another kind
+
+
+def _leaf(obj: Any) -> Hashable:
     if isinstance(obj, types.BuiltinFunctionType):
         return ("builtin", id(obj))
     try:
@@ -204,8 +232,6 @@ def stable_fingerprint(obj: Any, _seen: frozenset = frozenset()) -> Hashable:
             stable_fingerprint(obj.fn, _seen),
             stable_fingerprint(obj.args, _seen),
         )
-    import types
-
     if isinstance(obj, types.MethodType):
         return (
             "method",
@@ -270,15 +296,29 @@ class _UnhideKont:
         self.reclaim = reclaim
 
 
-class ThreadCtx:
-    """One thread: its remaining program, continuations and contributions."""
+#: The values :func:`fingerprint` descends into; everything else is a leaf.
+_NESTING = (Prog, _UnhideKont, types.MethodType, types.FunctionType)
 
-    __slots__ = ("tid", "current", "konts", "selfs", "visible", "parent", "children", "results", "done", "result")
+
+class ThreadCtx:
+    """One thread: its remaining program, continuations and contributions.
+
+    ``konts`` is an immutable stack (a tuple), so clones share it; the
+    prefix ``kfps`` holds the fingerprints of ``konts[:len(kfps)]``, each
+    computed once and shared with every clone.  ``record`` caches the
+    thread's :meth:`position_record`; whatever changes the thread clears it.
+    """
+
+    __slots__ = (
+        "tid", "current", "konts", "kfps", "selfs", "visible", "parent",
+        "children", "results", "done", "result", "record",
+    )
 
     def __init__(self, tid: int, prog: Prog | None, selfs: dict[str, Any], visible: set[str], parent: int | None):
         self.tid = tid
         self.current: Prog | None = prog
-        self.konts: list[Any] = []
+        self.konts: tuple[Any, ...] = ()
+        self.kfps: tuple[Hashable, ...] = ()
         self.selfs = selfs
         self.visible = visible
         self.parent = parent
@@ -286,15 +326,70 @@ class ThreadCtx:
         self.results: dict[int, Any] = {}
         self.done = False
         self.result: Any = None
+        self.record: tuple | None = None
 
     def clone(self) -> "ThreadCtx":
         out = ThreadCtx(self.tid, self.current, dict(self.selfs), set(self.visible), self.parent)
-        out.konts = list(self.konts)
+        out.konts = self.konts
+        out.kfps = self.kfps
         out.children = self.children
         out.results = dict(self.results)
         out.done = self.done
         out.result = self.result
+        out.record = self.record
         return out
+
+    def push(self, kont: Any) -> None:
+        self.konts += (kont,)
+
+    def pop(self) -> Any:
+        kont = self.konts[-1]
+        self.konts = self.konts[:-1]
+        if len(self.kfps) > len(self.konts):
+            self.kfps = self.kfps[:-1]
+        return kont
+
+    def position_record(self, table: dict[Any, Any] | None = None) -> tuple:
+        """This thread's part of :meth:`Config.position_key`: its id, its
+        fingerprinted program position and continuation stack, its
+        contributions, visible labels and fork-join bookkeeping.
+
+        Built once and cached until the thread changes; only the
+        continuations pushed since the last build are fingerprinted.  A
+        record whose fingerprints saw an empty closure cell is rebuilt on
+        every call, and such a continuation is never cached in ``kfps``.
+        ``table`` (the explorer's hash-consing table) canonicalizes each
+        section and the record itself; the canonical record is what the
+        thread caches."""
+        record = self.record
+        if record is not None:
+            return record
+        unstable: list[Any] = []
+        fps = self.kfps
+        for kont in self.konts[len(fps):]:
+            fps += (fingerprint(kont, _unstable=unstable),)
+            if not unstable:
+                self.kfps = fps
+        record = (
+            self.tid,
+            fingerprint(self.current, _unstable=unstable),
+            fps,
+            tuple(sorted(self.selfs.items())),
+            tuple(sorted(self.visible)),
+            self.parent,
+            self.children,
+            tuple(sorted(self.results.items())),
+            self.done,
+            fingerprint(self.result, _unstable=unstable),
+        )
+        if table is not None:
+            record = tuple(map(table.setdefault, record, record))
+            record = table.setdefault(record, record)
+            if self.kfps is fps:
+                self.kfps = record[2]
+        if not unstable:
+            self.record = record
+        return record
 
     @property
     def at_action(self) -> bool:
@@ -317,6 +412,11 @@ class Config:
         self.next_tid = 1
         self.trace = Trace() if record_trace else None
         self.steps = 0
+        #: Whether :func:`_check_coherence` passed on the current global
+        #: snapshot (and world).  Only ``_exit_hide`` moves the snapshot
+        #: without a check; an action that moves nothing re-checks only
+        #: when this is False.
+        self.checked = False
 
     @classmethod
     def _blank(cls) -> "Config":
@@ -331,6 +431,7 @@ class Config:
         out.next_tid = self.next_tid
         out.trace = self.trace
         out.steps = self.steps
+        out.checked = self.checked
         return out
 
     # -- subjective views -------------------------------------------------------
@@ -406,33 +507,27 @@ class Config:
             ),
         )
 
-    def position_key(self) -> tuple:
+    def position_key(self, table: dict[Any, Any] | None = None) -> tuple:
         """A hashable digest of the *whole* configuration: shared state
-        plus every thread's program position (continuations fingerprinted
-        structurally — see :func:`fingerprint`).  Two configurations with
-        equal keys have identical future behaviour, so the explorer can
-        memoize on it.  The caller must keep a reference to the config
-        alive while the key is stored (fingerprints may embed ``id``s of
-        captured objects)."""
+        plus every thread's :meth:`~ThreadCtx.position_record` (program
+        position with continuations fingerprinted structurally — see
+        :func:`fingerprint`).  Two configurations with equal keys have
+        identical future behaviour, so the explorer can memoize on it.
+        The caller must keep a reference to the config alive while the
+        key is stored (fingerprints may embed ``id``s of captured
+        objects).  ``table`` hash-conses the key's sections (records,
+        shared-state entries) so that stored keys share them."""
+        joints = tuple(sorted(self.joints.items()))
+        env_selfs = tuple(sorted(self.env_selfs.items()))
         threads = tuple(
-            (
-                tid,
-                fingerprint(th.current),
-                tuple(fingerprint(k) for k in th.konts),
-                tuple(sorted(th.selfs.items())),
-                tuple(sorted(th.visible)),
-                th.parent,
-                th.children,
-                tuple(sorted(th.results.items())),
-                th.done,
-                fingerprint(th.result),
-            )
-            for tid, th in sorted(self.threads.items())
+            th.position_record(table) for __, th in sorted(self.threads.items())
         )
+        if table is None:
+            return (joints, env_selfs, threads)
         return (
-            tuple(sorted(self.joints.items())),
-            tuple(sorted(self.env_selfs.items())),
-            threads,
+            _intern_entries(joints, table),
+            _intern_entries(env_selfs, table),
+            table.setdefault(threads, threads),
         )
 
     def stable_digest(self) -> str:
@@ -492,6 +587,17 @@ class Config:
         return f"<Config steps={self.steps} threads={list(self.threads.values())!r}>"
 
 
+def _intern_entries(entries: tuple, table: dict[Any, Any]) -> tuple:
+    """The canonical copy of a sorted ``(label, value)`` tuple; the first
+    time it is seen, its entries and their values are interned too."""
+    canonical = table.get(entries)
+    if canonical is None:
+        pairs = [(label, table.setdefault(value, value)) for label, value in entries]
+        canonical = tuple(map(table.setdefault, pairs, pairs))
+        table[canonical] = canonical
+    return canonical
+
+
 # -- administrative normalization ---------------------------------------------------
 
 
@@ -524,11 +630,14 @@ def _admin_step(config: Config, th: ThreadCtx) -> bool:
     node = th.current
     if node is None:
         return False  # waiting on children
+    if isinstance(node, ActCall):
+        return False  # scheduling-visible
+    th.record = None  # every reduction below changes the thread
     if isinstance(node, Call):
         th.current = node.expand()
         return True
     if isinstance(node, Bind):
-        th.konts.append(node.cont)
+        th.push(node.cont)
         th.current = node.first
         return True
     if isinstance(node, HideProg):
@@ -539,7 +648,7 @@ def _admin_step(config: Config, th: ThreadCtx) -> bool:
         return True
     if isinstance(node, Ret):
         if th.konts:
-            kont = th.konts.pop()
+            kont = th.pop()
             if isinstance(kont, _UnhideKont):
                 _exit_hide(config, th, kont, node.value)
                 return True
@@ -547,8 +656,6 @@ def _admin_step(config: Config, th: ThreadCtx) -> bool:
             return True
         _finish_thread(config, th, node.value)
         return True
-    if isinstance(node, ActCall):
-        return False  # scheduling-visible
     raise ProgramError(f"unknown program node {node!r}")
 
 
@@ -572,6 +679,7 @@ def _finish_thread(config: Config, th: ThreadCtx, value: Any) -> None:
     if parent_tid is None:
         return
     parent = config.threads[parent_tid]
+    parent.record = None
     parent.results[th.tid] = value
     assert parent.children is not None
     left, right = parent.children
@@ -617,7 +725,7 @@ def _enter_hide(config: Config, th: ThreadCtx, node: HideProg) -> None:
         config.env_selfs[label] = config.world.pcm_of(label).unit
         th.selfs[label] = node.initial_selfs[label]
         th.visible.add(label)
-    th.konts.append(_UnhideKont(conc, priv, node.reclaim))
+    th.push(_UnhideKont(conc, priv, node.reclaim))
     th.current = node.body
     config._log(Event("hide", th.tid, "/".join(conc.labels)))
     _check_coherence(config)
@@ -651,6 +759,7 @@ def _exit_hide(config: Config, th: ThreadCtx, kont: _UnhideKont, value: Any) -> 
     if not th.selfs[kont.priv_label].is_valid:
         raise CoherenceViolation("hide: reclaimed heap overlaps the private heap")
     th.current = Ret(value)
+    config.checked = False  # the next scheduling-visible step checks
     config._log(Event("unhide", th.tid, "/".join(conc.labels)))
 
 
@@ -670,17 +779,26 @@ def do_action(config: Config, tid: int) -> Config:
             f"action {action.name}{node.args!r} unsafe in thread t{tid} view {view!r}"
         )
     value, view2 = action.step(view, *node.args)
+    moved = False
     for label in view2.labels():
         if view2.other_of(label) != view.other_of(label):
             raise CoherenceViolation(
                 f"action {action.name} changed `other` at label {label!r}"
             )
-        th.selfs[label] = view2.self_of(label)
-        out.joints[label] = view2.joint_of(label)
+        self_, joint = view2.self_of(label), view2.joint_of(label)
+        if not moved:
+            old_self, old_joint = view.self_of(label), view.joint_of(label)
+            moved = (self_ is not old_self and self_ != old_self) or (
+                joint is not old_joint and joint != old_joint
+            )
+        th.selfs[label] = self_
+        out.joints[label] = joint
     th.current = Ret(value)
+    th.record = None
     out.steps += 1
     out._log(Event("act", tid, action.name, node.args, value))
-    _check_coherence(out)
+    if moved or not out.checked:
+        _check_coherence(out)
     normalize(out)
     return out
 
@@ -722,6 +840,7 @@ def _check_coherence(config: Config) -> None:
             raise CoherenceViolation(
                 f"{type(conc).__name__} incoherent after step: {snapshot!r}"
             )
+    config.checked = True
 
 
 # -- entry points ---------------------------------------------------------------------

@@ -71,8 +71,7 @@ class SpanTreeConcurroid(Concurroid):
         marked_union = self._pcm.join(comp.self_, comp.other)
         if not self._pcm.valid(marked_union):
             return False  # self and other must be disjoint
-        g = GraphView(comp.joint)
-        return marked_union == g.marked_nodes()
+        return marked_union == frozenset(x for x, node in comp.joint.items() if node[0])
 
     # -- transitions ----------------------------------------------------------------
 
@@ -85,7 +84,7 @@ class SpanTreeConcurroid(Concurroid):
 
         def mark_requires(state: State, x: Ptr) -> bool:
             joint = state.joint_of(lbl)
-            return is_graph(joint) and x in joint and not GraphView(joint).mark(x)
+            return is_graph(joint) and x in joint and not joint[x][0]
 
         def mark_effect(state: State, x: Ptr) -> State:
             def upd(comp: SubjState) -> SubjState:

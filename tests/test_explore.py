@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from repro.core.prog import act, bind, par, ret, ffix
+from repro.core.prog import act, bind, par, ret, ffix, seq
 from repro.core.spec import Scenario, Spec
 from repro.core.verify import check_triple, triple_issues
 from repro.core.world import World
 from repro.semantics.explore import explore, run_random
-from repro.semantics.interp import initial_config
+from repro.semantics.interp import do_action, initial_config
 
 from .helpers import BumpAction, CELL, CounterConcurroid, ReadCounterAction, counter_state
 
@@ -202,13 +202,24 @@ class TestCompaction:
             repr(t.result) for t in pinned.terminals
         }
 
-    def test_interning_shares_key_sections(self):
-        from repro.semantics.explore import _intern
-
+    def test_interning_shares_key_sections(self, world, conc):
+        # Neighbouring positions differ in one thread's record: the
+        # unchanged threads' records are the very same objects.
         table: dict = {}
-        one = _intern((("a", (1, 2)), ("b", (3,))), table)
-        two = _intern((("a", (1, 2)), ("c", (4,))), table)
-        assert one[0] is two[0]  # the shared section is one object
+        prog = par(seq(act(BumpAction(conc)), act(BumpAction(conc))), self._prog(conc))
+        before = initial_config(world, counter_state(conc), prog)
+        after = do_action(before, 1)  # thread 1 is still running
+        one, two = before.position_key(table), after.position_key(table)
+        assert one[2][1] != two[2][1]  # thread 1 moved
+        assert one[2][0] is two[2][0] and one[2][2] is two[2][2]
+        # Across the whole memo, equal records and equal record sections
+        # are stored once, not once per key.
+        __, seen, __ = self._run(world, conc)
+        records = [record for key in seen for record in key[2]]
+        assert len(records) > len(set(records))
+        assert len({id(r) for r in records}) == len(set(records))
+        sections = [s for r in set(records) for s in r if isinstance(s, tuple)]
+        assert len({id(s) for s in sections}) == len(set(sections))
 
 
 class TestDominationOnCaseStudy:

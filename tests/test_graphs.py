@@ -64,6 +64,26 @@ class TestGraphPredicate:
     def test_graphview_rejects_non_graph(self):
         with pytest.raises(NotAGraphError):
             GraphView(pts(ptr(1), "junk"))
+        junk = pts(ptr(1), "junk")
+        assert not is_graph(junk)
+        with pytest.raises(NotAGraphError):  # also once the verdict is cached
+            GraphView(junk)
+
+    def test_verdict_cached_on_the_heap(self, monkeypatch):
+        from repro.heap import Heap
+
+        from repro.heap import heap_of
+
+        h = heap_of(dict(figure2_graph().items()))
+        walks = []
+        items = Heap.items
+        monkeypatch.setattr(Heap, "items", lambda self: walks.append(self) or items(self))
+        assert is_graph(h) and is_graph(h)
+        assert GraphView(h).heap is h
+        assert walks == [h]
+        fresh = h.update(ptr(4), (True, NULL, NULL))
+        assert is_graph(fresh)  # a new heap object is walked afresh
+        assert walks == [h, fresh]
 
 
 class TestAccessors:

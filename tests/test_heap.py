@@ -37,6 +37,34 @@ class TestPointers:
         assert repr(NULL) == "null"
         assert repr(ptr(7)) == "p7"
 
+    def test_hash_is_the_field_tuples(self):
+        # Exactly the generated dataclass hash, so set and dict iteration
+        # orders over pointers stay what they were.
+        for addr in (0, 1, 7, 2**40):
+            assert hash(ptr(addr)) == hash((addr,))
+
+    def test_equality_and_ordering(self):
+        assert ptr(3) == ptr(3) and ptr(3) != ptr(4)
+        assert ptr(3) != 3 and ptr(3) != (3,)
+        assert sorted([ptr(3), NULL, ptr(1)]) == [NULL, ptr(1), ptr(3)]
+        assert ptr(2) <= ptr(2) < ptr(5) and ptr(5) > ptr(2)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        import copy
+        import pickle
+
+        for p in (NULL, ptr(5)):
+            for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+                assert twin == p and hash(twin) == hash(p)
+                assert bool(twin) == bool(p) and repr(twin) == repr(p)
+        assert pts(ptr(5), "x").dom() == {copy.deepcopy(ptr(5))}
+
+    def test_immutable(self):
+        from dataclasses import FrozenInstanceError
+
+        with pytest.raises(FrozenInstanceError):
+            ptr(1).addr = 2
+
 
 class TestHeapConstruction:
     def test_empty_heap_valid(self):

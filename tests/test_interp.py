@@ -151,3 +151,65 @@ class TestSignatures:
         cfg = initial_config(world, counter_state(conc), bump_prog(conc))
         assert cfg.pending_action(0) is not None
         assert cfg.pending_action(99) is None
+
+
+class TestCoherenceChecks:
+    """Coherence is re-checked only when an action moved the shared state
+    or the snapshot it starts from was never checked."""
+
+    def test_idle_action_after_a_checked_snapshot_skips_the_check(self, world, conc, monkeypatch):
+        from repro.semantics import interp
+
+        read = initial_config(world, counter_state(conc), act(ReadCounterAction(conc)))
+        bump = initial_config(world, counter_state(conc), bump_prog(conc))
+        assert read.checked and bump.checked
+        calls = []
+        check = interp._check_coherence
+        monkeypatch.setattr(interp, "_check_coherence", lambda c: calls.append(c) or check(c))
+        do_action(read, 0)
+        assert calls == []
+        do_action(bump, 0)
+        assert len(calls) == 1
+
+    def test_incoherence_left_by_unhide_reported_on_an_idle_action(self):
+        # The hidden scope reclaims a cell the environment owns: leaving
+        # it moves the shared state to an incoherent snapshot without a
+        # check.  The next action is a read that changes nothing, and it
+        # must still report the incoherence, with the parent's trace.
+        from repro.core.entangle import Priv
+        from repro.core.errors import CoherenceViolation
+        from repro.core.prog import HideProg
+        from repro.core.state import SubjState, state_of
+        from repro.heap import EMPTY, pts, ptr
+        from repro.semantics.explore import explore
+
+        hidden, visible = CounterConcurroid(label="ct"), CounterConcurroid(label="c0")
+        theirs = ptr(9)
+        prog = seq(
+            HideProg(
+                hidden,
+                lambda h: ({"ct": h.restrict({CELL})}, h.remove_all({CELL})),
+                {"ct": 0},
+                ret(None),
+                "pv",
+                reclaim=lambda joints: joints["ct"].join(pts(theirs, "stolen")),
+            ),
+            act(ReadCounterAction(visible)),
+        )
+        init = state_of(
+            pv=SubjState(pts(CELL, 0), EMPTY, pts(theirs, "env")),
+            c0=visible.initial(),
+        )
+        cfg = initial_config(World((Priv("pv"), visible)), init, prog)
+        assert [e.kind for e in cfg.trace] == ["hide", "unhide"]
+        assert not cfg.checked
+        with pytest.raises(CoherenceViolation, match="Priv incoherent"):
+            do_action(cfg, 0)
+        result = explore(cfg)
+        [violation] = result.violations
+        assert violation.kind == "CoherenceViolation"
+        assert [(e.kind, e.detail) for e in violation.trace] == [
+            ("hide", "ct"),
+            ("unhide", "ct"),
+            ("crash", "c0.read"),
+        ]
