@@ -1,10 +1,12 @@
 """Memo-compaction benchmark for the single-program explorer.
 
 ``tracemalloc`` peaks of one mid-size exploration with the dedupe memo
-storing compact visit records (``compact=True``, the default) vs pinning
-whole configurations (``compact=False``).  Compaction must strictly lower
-the peak (the fix this gate protects: the ``seen`` memo used to pin every
-Config it ever saw).  Artifact: ``benchmarks/out/explore_compaction.json``.
+storing compact visit records (the default search) vs the liveness run
+(``liveness=True``), the one layout that still pins whole configurations
+(the lasso detector compares their traces).  Compaction must strictly
+lower the peak (the fix this gate protects: the ``seen`` memo used to
+pin every Config it ever saw).  Artifact:
+``benchmarks/out/explore_compaction.json``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ def test_explore_compaction(out_dir):
     peaks = {}
     for compact in (True, False):
         tracemalloc.start()
-        result = run_scenario(wx, compact=compact)
+        result = run_scenario(wx, liveness=not compact)
         __, peaks[compact] = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert result.ok

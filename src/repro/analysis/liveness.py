@@ -109,7 +109,7 @@ def find_live_cycles(
     from ..semantics.explore import explore
     from ..semantics.interp import initial_config
 
-    config = initial_config(world, init, prog, record_trace=True)
+    config = initial_config(world, init, prog)
     return explore(
         config,
         max_steps=max_steps,

@@ -284,14 +284,12 @@ def run_scenario(
     scenario: MainScenario,
     *,
     liveness: bool = False,
-    compact: bool = True,
 ):
     """Explore one scenario with its verification bounds.
 
     ``liveness=True`` arms the bounded livelock detector — observational
     by construction, which tests/test_liveness_equiv.py checks against
-    these same scenarios.  ``compact`` selects the explorer's memo
-    layout (benchmarks/bench_explore_compaction.py measures both).
+    these same scenarios.
     """
     from ..semantics.explore import explore
     from ..semantics.interp import initial_config
@@ -304,7 +302,6 @@ def run_scenario(
         env_budget=scenario.env_budget,
         max_configs=scenario.max_configs,
         liveness=liveness,
-        compact=compact,
     )
 
 

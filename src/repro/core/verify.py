@@ -444,7 +444,6 @@ def check_triple(
     max_steps: int = 60,
     env_budget: int = 0,
     max_configs: int = 200_000,
-    domination: bool = True,
 ) -> list[TripleOutcome]:
     """Check ``spec`` on every scenario by exhaustive schedule exploration.
 
@@ -504,7 +503,6 @@ def check_triple(
             env_budget=env_budget,
             max_configs=max_configs,
             on_terminal=on_terminal,
-            domination=domination,
             liveness=options.liveness,
         )
         tr = obs_tracer.current()

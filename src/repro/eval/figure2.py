@@ -105,7 +105,7 @@ def replay_figure2(seed: int | None = None) -> tuple[list[Stage], bool]:
     # right subtree root (the paper: a black subtree is ascribed to the
     # thread that marked its root).
     marked_by: dict[int, str] = {}
-    for event in final.trace or ():
+    for event in final.trace:
         if event.kind == "act" and event.detail.endswith("trymark"):
             node = _name(event.args[0])
             if event.result:

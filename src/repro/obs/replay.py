@@ -60,8 +60,6 @@ def _view_after(config: Any, tid: int) -> str | None:
 
 def _act_event(before: Any, after: Any) -> Any:
     """The ``act`` trace event this step appended (for result extraction)."""
-    if before.trace is None or after.trace is None:
-        return None
     for event in after.trace.events[len(before.trace.events):]:
         if event.kind == "act":
             return event
@@ -175,12 +173,7 @@ def replay_schedule(
             chosen = None
             try:
                 for succ in env_successors(config):
-                    logged = (
-                        succ.trace.events[-1].detail
-                        if succ.trace is not None and len(succ.trace)
-                        else None
-                    )
-                    if logged == step.label:
+                    if succ.trace.events[-1].detail == step.label:
                         chosen = succ
                         break
             except VerificationError as exc:

@@ -14,15 +14,16 @@ Partial correctness: paths that exceed the step bound are *truncated*, not
 failed (they correspond to executions that have not terminated yet), and
 the count of truncated paths is reported.
 
-Each step pays only for what it changed: a position key is the shared
-state plus one record per thread, each thread caches its record (clones
-share it) and its continuations' fingerprints, and a step rebuilds only
-the records of the threads it moved (see
-:meth:`~repro.semantics.interp.ThreadCtx.position_record`).  Memory
-compaction (``compact=True``, the default) stores visit records instead
-of whole configurations in the dedupe memo and hash-conses each new
-thread record and its sections, so resident memory tracks the
-*frontier*, not the entire visited graph.
+There is one search: a revisit is pruned when an earlier visit to the
+same position dominates it, and the memo stores compact visit records,
+hash-consing each new thread record and its sections, so resident memory
+tracks the *frontier*, not the entire visited graph.  Each step pays
+only for what it changed: a position key is the shared state plus one
+record per thread, each thread caches its record (clones share it) and
+its continuations' fingerprints, and a step rebuilds only the records of
+the threads it moved (see
+:meth:`~repro.semantics.interp.ThreadCtx.position_record`).  A key that
+cannot be built is a bug, and its exception propagates.
 """
 
 from __future__ import annotations
@@ -61,11 +62,7 @@ class ExplorationResult:
     violations: list[Violation] = field(default_factory=list)
     explored: int = 0
     truncated: int = 0
-    #: Configurations whose position key could not be computed: they fall
-    #: back to tree search.  Nonzero on a healthy model is a fingerprinting
-    #: regression — dedup silently degrading is exactly what this surfaces.
-    unfingerprinted: int = 0
-    #: Configurations pruned by dedupe/domination (memoized positions).
+    #: Configurations pruned by dedupe (a dominating earlier visit).
     deduped: int = 0
     #: Largest DFS frontier observed (tracked on every push).
     frontier_peak: int = 0
@@ -85,8 +82,6 @@ class ExplorationResult:
             f"explored={self.explored} terminals={len(self.terminals)} "
             f"truncated={self.truncated} violations={len(self.violations)}"
         )
-        if self.unfingerprinted:
-            body += f" unfingerprinted={self.unfingerprinted}"
         if self.cycles:
             body += f" cycles={len(self.cycles)}"
         return body
@@ -100,9 +95,7 @@ def explore(
     max_configs: int = 200_000,
     on_terminal: Callable[[Config], str | None] | None = None,
     dedupe: bool = True,
-    domination: bool = True,
     liveness: bool = False,
-    compact: bool = True,
     _seen: dict[tuple, list[tuple[int, int, Config | None]]] | None = None,
     _anchors: list[Any] | None = None,
 ) -> ExplorationResult:
@@ -114,19 +107,17 @@ def explore(
     With ``dedupe`` (default) configurations are memoized on their
     :meth:`~repro.semantics.interp.Config.position_key` — shared state plus
     structural fingerprints of every thread's continuation — collapsing the
-    schedule *tree* into the reachable state *graph*.  Recorded positions
+    schedule *tree* into the reachable state *graph*.  A position is pruned
+    when an earlier visit to the same key arrived having spent no more
+    interference budget *and* no more steps: everything reachable from the
+    new arrival was already reachable from that visit.  Recorded positions
     keep their id-fingerprinted thread records alive via an anchor list so
     fingerprint ids are never recycled; the configurations themselves (and
-    their traces) are stored only when ``liveness`` needs them or
-    ``compact=False`` requests the historical pin-everything behaviour.
-
-    With ``domination`` (default) a position is pruned when any earlier
-    visit to the same position key arrived having spent no more
-    interference budget *and* no more steps: everything reachable from the
-    new arrival was already reachable from that visit.  Keying on the
-    exact ``env_used`` instead (``domination=False``, the historical
-    behaviour) re-expands positions that a cheaper earlier visit fully
-    covered; it is kept for A/B measurement and regression tests.
+    their traces) are stored only when ``liveness`` needs them.  An
+    exception raised while building a key propagates: a search that
+    cannot key a configuration is broken, not merely slower.
+    ``dedupe=False`` is the plain tree search, the reference the tests
+    and ``bench_ablation_dedupe`` compare the memoized search against.
 
     ``liveness`` (default off) turns on the bounded livelock detector:
     when a configuration revisits a memoized position key and its trace
@@ -146,7 +137,7 @@ def explore(
     stack: list[tuple[Config, int]] = [(config, 0)]
     #: position key -> recorded (env_used, steps, config-or-None) visits.
     #: The config slot is filled only when liveness trace-extension checks
-    #: (or compact=False) need it; anchors keep fingerprint ids valid.
+    #: need it; anchors keep fingerprint ids valid.
     seen: dict[tuple, list[tuple[int, int, Config | None]]] = (
         _seen if _seen is not None else {}
     )
@@ -155,10 +146,10 @@ def explore(
     #: anchoring the ThreadCtx objects keeps those ids from being recycled
     #: without pinning whole configurations (and their traces).
     anchors: list[Any] = _anchors if _anchors is not None else []
-    #: Hash-consing table for position-key sections (compact mode):
-    #: records and shared-state entries repeat across neighbouring keys,
-    #: so stored keys share one copy of each.
-    intern_table: dict[Any, Any] | None = {} if compact else None
+    #: Hash-consing table for position-key sections: records and
+    #: shared-state entries repeat across neighbouring keys, so stored
+    #: keys share one copy of each.
+    intern_table: dict[Any, Any] = {}
     # A single contextvar read up front: per-config work stays free when
     # tracing is off (the span below is emitted once, at the end).
     tr = _obs.current()
@@ -169,43 +160,24 @@ def explore(
         while stack:
             current, env_used = stack.pop()
             if dedupe:
-                try:
-                    pos = current.position_key(intern_table)
-                except Exception:  # noqa: BLE001 - unfingerprintable: fall back
-                    pos = None
-                    result.unfingerprinted += 1
-                if pos is not None:
-                    visits = seen.setdefault(pos, [])
-                    if liveness and visits and current.trace is not None:
-                        # Observe (never prune): a revisit whose trace
-                        # extends an earlier visit's is a lasso candidate.
-                        _record_lasso(result, visits, current)
-                    if domination:
-                        # Prune iff a prior visit dominates: it had at least as
-                        # much interference budget and step depth remaining.
-                        # Spin loops are pruned here too: a futile retry
-                        # reproduces its own position key at a later step.
-                        if any(
-                            e <= env_used and s <= current.steps
-                            for e, s, __ in visits
-                        ):
-                            result.deduped += 1
-                            continue
-                    else:
-                        # Exact-budget keying: revisit only if we arrived with
-                        # more remaining depth (fewer steps) than any previous
-                        # visit at the same env_used.
-                        if any(
-                            e == env_used and s <= current.steps
-                            for e, s, __ in visits
-                        ):
-                            result.deduped += 1
-                            continue
-                    if liveness or not compact:
-                        visits.append((env_used, current.steps, current))
-                    else:
-                        visits.append((env_used, current.steps, None))
-                        anchors.append(tuple(current.threads.values()))
+                pos = current.position_key(intern_table)
+                visits = seen.setdefault(pos, [])
+                if liveness and visits:
+                    # Observe (never prune): a revisit whose trace extends
+                    # an earlier visit's is a lasso candidate.
+                    _record_lasso(result, visits, current)
+                # Prune iff a prior visit dominates: it had at least as much
+                # interference budget and step depth remaining.  Spin loops
+                # are pruned here too: a futile retry reproduces its own
+                # position key at a later step.
+                if any(e <= env_used and s <= current.steps for e, s, __ in visits):
+                    result.deduped += 1
+                    continue
+                if liveness:
+                    visits.append((env_used, current.steps, current))
+                else:
+                    visits.append((env_used, current.steps, None))
+                    anchors.append(tuple(current.threads.values()))
             if result.explored >= max_configs:
                 # Checked *before* counting: the bound means "expand at most
                 # max_configs configurations", not max_configs + 1.
@@ -260,7 +232,6 @@ def explore(
                 now * 1e6,
                 explored=result.explored,
                 deduped=result.deduped,
-                unfingerprinted=result.unfingerprinted,
                 truncated=result.truncated,
                 terminals=len(result.terminals),
                 violations=len(result.violations),
@@ -298,8 +269,6 @@ def _record_lasso(
         return
     events = current.trace.events
     for __, __, earlier in visits:
-        if earlier is None or earlier.trace is None:
-            continue
         prior = earlier.trace.events
         if not len(prior) < len(events) or events[: len(prior)] != prior:
             continue
@@ -320,12 +289,10 @@ def _record_lasso(
             return
 
 
-def _crash_trace(config: Config, tid: int) -> Trace | None:
+def _crash_trace(config: Config, tid: int) -> Trace:
     """The violation trace for an action that aborted: the history plus a
     synthetic ``crash`` event naming the failing step, so counterexample
     witnesses include the action that crashed in their schedule."""
-    if config.trace is None:
-        return None
     pending = config.pending_label(tid)
     if pending is None:  # pragma: no cover - crash implies a pending action
         return config.trace

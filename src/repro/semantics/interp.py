@@ -403,14 +403,14 @@ class ThreadCtx:
 class Config:
     """A whole-machine configuration: world + shared state + thread soup."""
 
-    def __init__(self, world: World, joints: dict[str, Any], env_selfs: dict[str, Any], root_prog: Prog, root_selfs: dict[str, Any], record_trace: bool = True):
+    def __init__(self, world: World, joints: dict[str, Any], env_selfs: dict[str, Any], root_prog: Prog, root_selfs: dict[str, Any]):
         self.world = world
         self.joints = joints
         self.env_selfs = env_selfs
         visible = set(joints)
         self.threads: dict[int, ThreadCtx] = {0: ThreadCtx(0, root_prog, dict(root_selfs), visible, None)}
         self.next_tid = 1
-        self.trace = Trace() if record_trace else None
+        self.trace = Trace()
         self.steps = 0
         #: Whether :func:`_check_coherence` passed on the current global
         #: snapshot (and world).  Only ``_exit_hide`` moves the snapshot
@@ -580,8 +580,7 @@ class Config:
         return (th.current.action.name, tuple(repr(a) for a in th.current.args))
 
     def _log(self, event: Event) -> None:
-        if self.trace is not None:
-            self.trace = self.trace.append(event)
+        self.trace = self.trace.append(event)
 
     def __repr__(self) -> str:
         return f"<Config steps={self.steps} threads={list(self.threads.values())!r}>"
@@ -850,8 +849,6 @@ def initial_config(
     world: World,
     init: State,
     prog: Prog,
-    *,
-    record_trace: bool = True,
 ) -> Config:
     """Build the starting configuration from the root thread's view.
 
@@ -862,7 +859,7 @@ def initial_config(
     joints = {label: init.joint_of(label) for label in init}
     env_selfs = {label: init.other_of(label) for label in init}
     root_selfs = {label: init.self_of(label) for label in init}
-    config = Config(world, joints, env_selfs, prog, root_selfs, record_trace)
+    config = Config(world, joints, env_selfs, prog, root_selfs)
     _check_coherence(config)
     normalize(config)
     return config

@@ -253,7 +253,7 @@ def verify_flat_combiner(*, env_budget: int = 2) -> VerificationReport:
             if not par_post(final.result, final.view_for(0), initial_state(conc)):
                 return [f"randomized run {run} violates the pairwise post"]
             slot_owner: dict = {}
-            for event in final.trace or ():
+            for event in final.trace:
                 if event.kind != "act":
                     continue
                 if event.detail.endswith("try_acquire_slot") and event.result:

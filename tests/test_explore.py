@@ -6,10 +6,10 @@ import pytest
 
 from repro.core.prog import act, bind, par, ret, ffix, seq
 from repro.core.spec import Scenario, Spec
-from repro.core.verify import check_triple, triple_issues
+from repro.core.verify import ReportBuilder, check_triple, triple_issues
 from repro.core.world import World
 from repro.semantics.explore import explore, run_random
-from repro.semantics.interp import do_action, initial_config
+from repro.semantics.interp import Config, do_action, initial_config
 
 from .helpers import BumpAction, CELL, CounterConcurroid, ReadCounterAction, counter_state
 
@@ -111,25 +111,22 @@ class TestExhaustive:
         assert short.explored == total - 1
 
     def test_domination_dedupe_equivalent_and_never_worse(self, world, conc):
-        # On the toy counter every env move changes the shared cell, so a
-        # position is never revisited at a different env_used and both
-        # dedupe modes explore the same graph — domination must agree
-        # exactly here (the strict shrink is exercised on the CAS-lock
-        # case study below, whose env can return to a prior position).
+        # Dominated dedupe against the reference tree search: the same
+        # terminal results, and never more configurations expanded.
         prog = par(act(BumpAction(conc)), act(ReadCounterAction(conc)))
 
-        def run(domination):
+        def run(dedupe):
             return explore(
                 initial_config(world, counter_state(conc), prog),
                 env_budget=2,
-                domination=domination,
+                dedupe=dedupe,
             )
 
-        exact, dominated = run(False), run(True)
-        assert dominated.explored <= exact.explored
-        assert exact.ok and dominated.ok
+        tree, dominated = run(False), run(True)
+        assert dominated.explored <= tree.explored
+        assert tree.ok and dominated.ok
         assert {t.result for t in dominated.terminals} == {
-            t.result for t in exact.terminals
+            t.result for t in tree.terminals
         }
 
     def test_repeated_identical_actions_terminate(self, conc):
@@ -189,14 +186,10 @@ class TestCompaction:
         stored = [cfg for visits in seen.values() for __, __, cfg in visits]
         assert stored and all(cfg is not None for cfg in stored)
 
-    def test_compact_off_restores_pinning(self, world, conc):
-        __, seen, __ = self._run(world, conc, compact=False)
-        stored = [cfg for visits in seen.values() for __, __, cfg in visits]
-        assert stored and all(cfg is not None for cfg in stored)
-
     def test_compact_equivalent_to_uncompacted(self, world, conc):
+        # The liveness run is the one layout that still stores configs.
         compacted, __, __ = self._run(world, conc)
-        pinned, __, __ = self._run(world, conc, compact=False)
+        pinned, __, __ = self._run(world, conc, liveness=True)
         assert compacted.explored == pinned.explored
         assert {repr(t.result) for t in compacted.terminals} == {
             repr(t.result) for t in pinned.terminals
@@ -226,6 +219,7 @@ class TestDominationOnCaseStudy:
     """The dedupe fix must pay off on real registry machinery."""
 
     def test_cas_lock_explores_fewer_configs_same_verdict(self):
+        from repro.analysis.scenarios import terminal_signature
         from repro.structures.locks.verify import (
             bump_client,
             lock_initial_state,
@@ -235,6 +229,7 @@ class TestDominationOnCaseStudy:
 
         lock = make_counter_cas_lock()
         world = lock_world(lock)
+        init = lock_initial_state(lock, 0, 0)
         spec = Spec(
             "par-bump",
             pre=lambda s: lock.quiescent(s),
@@ -243,28 +238,69 @@ class TestDominationOnCaseStudy:
                 and lock.client_self(s2) == lock.client_self(s1) + 2
             ),
         )
-        scenarios = [
-            Scenario(
-                lock_initial_state(lock, 0, 0),
-                par(bump_client(lock), bump_client(lock)),
-                label="par-bump",
-            )
-        ]
 
-        def run(domination):
-            return check_triple(
-                world,
-                spec,
-                scenarios,
-                max_steps=60,
-                env_budget=2,
-                domination=domination,
+        def on_terminal(terminal):
+            if not spec.check_post(terminal.result, terminal.view_for(0), init):
+                return "postcondition fails"
+            return None
+
+        def run(dedupe):
+            # Bounds small enough for the spinning tree search to finish.
+            return explore(
+                initial_config(world, init, par(bump_client(lock), bump_client(lock))),
+                max_steps=12,
+                env_budget=1,
+                on_terminal=on_terminal,
+                dedupe=dedupe,
             )
 
-        exact, dominated = run(False), run(True)
-        assert sum(o.explored for o in dominated) < sum(o.explored for o in exact)
-        assert not triple_issues(exact)
-        assert not triple_issues(dominated)
+        tree, dominated = run(False), run(True)
+        assert tree.ok and dominated.ok
+        assert dominated.terminals
+        assert dominated.explored < tree.explored
+        assert terminal_signature(dominated) == terminal_signature(tree)
+
+
+class TestRaisingKey:
+    """A position key that raises fails closed: no silent tree search."""
+
+    class KeyBroke(RuntimeError):
+        pass
+
+    def _break_key_on_call(self, monkeypatch, n):
+        calls = []
+        real = Config.position_key
+
+        def position_key(config, table=None):
+            calls.append(config)
+            if len(calls) == n:
+                raise self.KeyBroke(f"key {n} broke")
+            return real(config, table)
+
+        monkeypatch.setattr(Config, "position_key", position_key)
+        return calls
+
+    def test_explore_propagates(self, world, conc, monkeypatch):
+        calls = self._break_key_on_call(monkeypatch, 3)
+        prog = par(act(BumpAction(conc)), act(BumpAction(conc)))
+        with pytest.raises(self.KeyBroke, match="key 3 broke"):
+            explore(initial_config(world, counter_state(conc), prog))
+        assert len(calls) == 3  # the search stopped at the broken key
+
+    def test_check_triple_obligation_fails(self, world, conc, monkeypatch):
+        self._break_key_on_call(monkeypatch, 3)
+        spec = Spec("any", pre=lambda s: True, post=lambda r, s2, s1: True)
+        prog = par(act(BumpAction(conc)), act(BumpAction(conc)))
+        builder = ReportBuilder("counter")
+        result = builder.obligation(
+            "Main",
+            "Main",
+            lambda: triple_issues(
+                check_triple(world, spec, [Scenario(counter_state(conc), prog)])
+            ),
+        )
+        assert not result.ok
+        assert result.issues == ["raised KeyBroke: key 3 broke"]
 
 
 class TestCheckTriple:

@@ -81,7 +81,7 @@ class TestHelping:
             assert not violations
             assert final is not None
             slot_owner = {}
-            for event in final.trace or ():
+            for event in final.trace:
                 if event.kind != "act":
                     continue
                 if event.detail.endswith("try_acquire_slot") and event.result:

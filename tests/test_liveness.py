@@ -83,7 +83,7 @@ def test_detector_is_observational_on_the_unfair_model():
 
     def run(liveness):
         return explore(
-            initial_config(world, init, prog, record_trace=True),
+            initial_config(world, init, prog),
             max_steps=claim.max_steps,
             env_budget=claim.env_budget,
             liveness=liveness,

@@ -96,12 +96,3 @@ class TestRecordedTraces:
         assert kinds.count("join") == 1
         assert kinds.count("act") == 2
         assert kinds[-1] == "done"
-
-    def test_trace_disabled(self):
-        conc = CounterConcurroid(cap=10)
-        world = World((conc,))
-        config = initial_config(
-            world, counter_state(conc), act(BumpAction(conc)), record_trace=False
-        )
-        final = run_deterministic(config)
-        assert final.trace is None
