@@ -55,9 +55,13 @@ class Transition:
             yield p, self.effect(state, p)
 
     def targets(self, state: State) -> Iterator[State]:
-        """The states one step of this transition reaches from ``state``."""
-        for __, succ in self.successors(state):
-            yield succ
+        """The states one step of this transition reaches from ``state``:
+        :meth:`successors` without the parameters, making the same calls
+        in the same order."""
+        requires, effect = self.requires, self.effect
+        for p in self.params(state):
+            if requires(state, p):
+                yield effect(state, p)
 
     def __repr__(self) -> str:
         return f"<Transition {self.name}>"
@@ -834,6 +838,16 @@ def _enumerate_closure(
     ``conc.env_sources()``, each evaluated through its :class:`_Source`
     memo: a source runs once per distinct tuple of the components it
     reads, and its recorded outputs are replayed on the other members.
+
+    When ``conc``'s environment moves are its own transition steps seen
+    through the subjective flip (:func:`_flips_own_steps`), the
+    environment sources never run: a member's moves are the flips of the
+    step sources' outputs on the member's flip, and once the flip is an
+    expanded member both of the member's edge tuples are read off the
+    flip's, member by member (``env_from_flips``).  ``flip`` is an
+    injective involution, so flipping commutes with the first-occurrence
+    dedupe and the members are discovered in the same order.
+
     Members are sorted by ``repr``, assembled from one cached piece per
     distinct component."""
     from collections import deque
@@ -843,7 +857,8 @@ def _enumerate_closure(
     owned = frozenset(conc.labels)
     interner = _Interner()
     step_sources = [_Source(run, owned, interner) for run in conc.step_sources()]
-    env_sources = [_Source(run, owned, interner) for run in conc.env_sources()]
+    flip = conc._transpose_own if _flips_own_steps(conc) else None
+    env_sources = [] if flip else [_Source(run, owned, interner) for run in conc.env_sources()]
     seen: dict[State, State] = {}
     frontier: deque[State] = deque()
     for s in initials:
@@ -853,10 +868,40 @@ def _enumerate_closure(
             frontier.append(s)
     trans: dict[State, tuple[State, ...]] = {}
     env: dict[State, tuple[State, ...]] = {}
+    #: member -> the member that is its flip, for members whose flip is one
+    flips: dict[State, State] = {}
+    env_from_flips = 0
+
+    def run_steps(state: State) -> list[State]:
+        return [s2 for source in step_sources for s2 in source.successors(state)]
+
+    def twin_of(member: State) -> State:
+        """The member that is ``member``'s flip, else a fresh flip."""
+        twin = flips.get(member)
+        if twin is None:
+            flipped = flip(member)
+            twin = seen.get(flipped)
+            if twin is None:
+                return flipped
+            flips[member] = twin
+            flips[twin] = member
+        return twin
+
     while frontier:
         current = frontier.popleft()
-        steps = [s2 for source in step_sources for s2 in source.successors(current)]
-        moves = [s2 for source in env_sources for s2 in source.successors(current)]
+        if flip is None:
+            steps = run_steps(current)
+            moves = [s2 for source in env_sources for s2 in source.successors(current)]
+        else:
+            twin = twin_of(current)
+            if twin in trans:
+                env_from_flips += 1
+                steps = [twin_of(s2) for s2 in env[twin]]
+                moves = [twin_of(s2) for s2 in trans[twin]]
+            else:
+                steps = run_steps(current)
+                flipped_steps = steps if twin is current else run_steps(twin)
+                moves = [flip(s2) for s2 in dict.fromkeys(flipped_steps)]
         for succ in steps + moves:
             if succ not in seen:
                 if len(seen) >= max_states:
@@ -894,8 +939,24 @@ def _enumerate_closure(
             edges=sum(map(len, trans.values())) + sum(map(len, env.values())),
             sources_run=sum(source.runs for source in sources),
             sources_replayed=sum(source.replays for source in sources),
+            env_from_flips=env_from_flips,
             deferred=deferred,
         )
+
+
+#: the :class:`Concurroid` methods that derive environment moves from the
+#: transitions through the subjective flip
+_FLIP_DEFAULTS = ("step_sources", "env_sources", "env_moves", "env_transitions", "_transpose_own")
+
+
+def _flips_own_steps(conc: Concurroid) -> bool:
+    """Whether ``conc``'s environment moves are, in order, the flips of
+    its step sources' outputs on the flipped state: its class keeps every
+    default in :data:`_FLIP_DEFAULTS`.  :class:`~repro.core.entangle.Entangled`
+    and :class:`~repro.core.entangle.Priv` override some, so their
+    closures evaluate the environment sources."""
+    cls = type(conc)
+    return all(getattr(cls, name) is getattr(Concurroid, name) for name in _FLIP_DEFAULTS)
 
 
 class _DeferredGraph(ProtocolGraph):

@@ -197,7 +197,16 @@ class Priv(Concurroid):
             p, v = param
             return state.update(lbl, lambda c: c.with_self(c.self_.update(p, v)))
 
+        # ``alloc``'s params, guard and effect each ask for the fresh
+        # pointer of the state they are evaluated on, so one evaluation
+        # asks up to five times for one state object: the last state
+        # scanned and its pointer are kept, and each evaluation scans once.
+        last: list[tuple[State | None, object]] = [(None, None)]
+
         def fresh_for(state: State):
+            scanned, ptr = last[0]
+            if scanned is state:
+                return ptr
             # Freshness must be global: a pointer unused in the private
             # heaps may still live in another concurroid's joint heap
             # (e.g. the allocator pool), and transferring it later would
@@ -213,7 +222,9 @@ class Priv(Concurroid):
                         used.update(part.dom())
             from ..heap import fresh_ptr
 
-            return fresh_ptr(used)
+            ptr = fresh_ptr(used)
+            last[0] = (state, ptr)
+            return ptr
 
         def alloc_requires(state: State, __: object) -> bool:
             heap = state.self_of(lbl)

@@ -62,6 +62,27 @@ class TestPriv:
             new = succ.self_of("pv").dom() - s.self_of("pv").dom()
             assert new and all(p != ptr(7) for p in new)
 
+    def test_alloc_scans_each_state_once(self, monkeypatch):
+        # params, guard and effect all need the fresh pointer; one
+        # evaluation on a state scans it once, and the outputs stay.
+        import repro.heap as heap_mod
+
+        scans = []
+        fresh_ptr = heap_mod.fresh_ptr
+        monkeypatch.setattr(heap_mod, "fresh_ptr", lambda used: scans.append(1) or fresh_ptr(used))
+        priv = Priv("pv", value_domain=(0, 1), max_cells=3, max_addr=5)
+        alloc = next(t for t in priv.transitions() if t.name.endswith("alloc"))
+        s = state_of(pv=SubjState(pts(ptr(1), 0), EMPTY, EMPTY))
+        first = list(alloc.successors(s))
+        assert [p for p, __ in first] == [0, 1]
+        assert [succ.self_of("pv") for __, succ in first] == [
+            pts(ptr(1), 0).join(pts(ptr(2), v)) for v in (0, 1)
+        ]
+        assert len(scans) == 1
+        equal = state_of(pv=SubjState(pts(ptr(1), 0), EMPTY, EMPTY))
+        assert list(alloc.successors(equal)) == first
+        assert len(scans) == 2
+
 
 class TestEntangled:
     def test_label_union(self):

@@ -1326,9 +1326,16 @@ class TestSourceMemo:
         for row, conc, initials, max_states in registry_closures:
             graph, span = traced(protocol_closure, conc, initials, max_states=max_states)
             assert_matches_reference(graph, reference_closure(conc, initials, max_states))
-            assert span["sources_run"] + span["sources_replayed"] == len(graph) * (
-                len(conc.step_sources()) + len(conc.env_sources())
-            ), row
+            evaluations = span["sources_run"] + span["sources_replayed"]
+            if conc_mod._flips_own_steps(conc):
+                # the environment sources never run (see TestFlip)
+                assert evaluations == flip_path_evaluations(conc, graph, span), row
+                assert span["env_from_flips"] == flip_pairs(conc, graph) > 0, row
+            else:
+                assert evaluations == len(graph) * (
+                    len(conc.step_sources()) + len(conc.env_sources())
+                ), row
+                assert span["env_from_flips"] == 0, row
             if span["sources_replayed"]:
                 replayed.add(row)
             if len(conc.labels) == 1:
@@ -1385,3 +1392,136 @@ class TestSourceMemo:
         assert_matches_reference(graph, reference_closure(conc, initials))
         assert span["sources_run"] >= len(graph)  # the snoop ran on every member
         assert span["sources_replayed"] > 0
+
+
+# -- the subjective flip -----------------------------------------------------------
+
+
+def flip_pairs(conc: Concurroid, graph: ProtocolGraph) -> int:
+    """The pairs of distinct members that are each other's flip."""
+    flip = conc._transpose_own
+    return sum(flip(s) != s and flip(s) in graph for s in graph.states) // 2
+
+
+def flip_path_evaluations(conc: Concurroid, graph: ProtocolGraph, span: dict) -> int:
+    """The source evaluations a closure on the flip path makes: every
+    step source on a member and on its flip, once on a member that is its
+    own flip, and none on a member whose edges came from its flip's."""
+    flip = conc._transpose_own
+    symmetric = sum(flip(s) == s for s in graph.states)
+    return len(conc.step_sources()) * (2 * (len(graph) - span["env_from_flips"]) - symmetric)
+
+
+class Stepper(CounterConcurroid):
+    """A counter with a second transition that adds 1 or 2 to ``self``
+    (its parameters repeat 1, so a step output repeats), and, when
+    ``boom`` is set, an ``add`` that raises on a state whose ``self`` is
+    0 and whose ``other`` is not: from an initial ``self`` of 1 no member
+    is such a state, only the flip of one."""
+
+    def __init__(self, cap: int = 4, boom: bool = False):
+        super().__init__(cap=cap)
+        self._boom = boom
+
+    def transitions(self) -> Sequence[Transition]:
+        lbl = self._label
+
+        def requires(state: State, n: int) -> bool:
+            return state.joint_of(lbl)[CELL] + n <= self._cap
+
+        def effect(state: State, n: int) -> State:
+            comp = state[lbl]
+            if self._boom and comp.self_ == 0 and comp.other:
+                raise ValueError(f"add on {state!r}")
+            joint = comp.joint.update(CELL, comp.joint[CELL] + n)
+            return state.set(lbl, SubjState(comp.self_ + n, joint, comp.other))
+
+        add = Transition(f"{lbl}.add", requires, effect, lambda __: (1, 2, 1))
+        return (*super().transitions(), add)
+
+
+class NoEnvStepper(Stepper):
+    """Interfering threads take no step."""
+
+    def env_transitions(self) -> Sequence[Transition]:
+        return ()
+
+
+class BumpOnlyEnvStepper(Stepper):
+    """The environment moves by ``bump`` alone, through its own
+    ``env_moves``."""
+
+    def env_moves(self, state: State) -> Iterator[State]:
+        flipped = self._transpose_own(state)
+        for succ in self.transitions()[0].targets(flipped):
+            yield self._transpose_own(succ)
+
+
+class TestFlip:
+    """A concurroid whose environment is its own flipped transitions runs
+    each step source once per member and once on its flip, and reads a
+    member's edges off its flip's when the flip was expanded first; the
+    graph must be the one a plain enumeration builds."""
+
+    def closure(self, conc: Concurroid, *counts: tuple[int, int], **kwargs: Any):
+        initials = [counter_state(conc, a, b) for a, b in counts]
+        graph, span = traced(protocol_closure, conc, initials, **kwargs)
+        assert_matches_reference(graph, reference_closure(conc, initials, **kwargs))
+        return graph, span
+
+    def test_initials_whose_flips_are_not_members(self):
+        conc = Stepper()
+        graph, span = self.closure(conc, (1, 0), (2, 1))
+        flip = conc._transpose_own
+        assert flip(graph.states[0]) not in graph
+        strays = [s for s in graph.states if flip(s) not in graph]
+        assert strays and len(strays) < len(graph)
+        assert span["env_from_flips"] == flip_pairs(conc, graph) > 0
+        assert span["sources_run"] == flip_path_evaluations(conc, graph, span)
+
+    def test_a_member_that_is_its_own_flip(self):
+        conc = Stepper()
+        graph, span = self.closure(conc, (0, 0))
+        flip = conc._transpose_own
+        assert any(flip(s) == s for s in graph.states)
+        assert span["env_from_flips"] == flip_pairs(conc, graph) > 0
+        assert span["sources_run"] == flip_path_evaluations(conc, graph, span)
+
+    @pytest.mark.parametrize("cls", [NoEnvStepper, BumpOnlyEnvStepper])
+    def test_an_overridden_environment_stays_on_the_source_path(self, cls):
+        conc = cls()
+        assert not conc_mod._flips_own_steps(conc)
+        graph, span = self.closure(conc, (0, 0))
+        assert span["env_from_flips"] == 0
+        assert span["sources_run"] == len(graph) * (len(conc.step_sources()) + 1)
+        flip = conc._transpose_own
+        # the override shows: some member's moves are not its flipped steps
+
+        def flipped_steps(s: State) -> tuple[State, ...]:
+            return tuple(
+                dict.fromkeys(flip(s2) for t in conc.transitions() for s2 in t.targets(flip(s)))
+            )
+
+        assert any(graph.env[s] != flipped_steps(s) for s in graph.states)
+
+    def test_the_registry_takes_the_flip_path_only_where_it_may(self, registry_closures):
+        from repro.core.entangle import Entangled, Priv
+
+        flips = {type(c[1]): conc_mod._flips_own_steps(c[1]) for c in registry_closures}
+        assert flips.pop(Entangled) is False
+        assert len(flips) >= 3 and all(flips.values())  # every other registry concurroid
+        assert not conc_mod._flips_own_steps(Priv())
+
+    def test_a_transition_raising_on_a_flip_raises_as_the_reference_does(self):
+        conc = Stepper(boom=True)
+        initials = [counter_state(conc, 1, 0)]
+        expected = outcome(reference_closure, conc, initials)
+        assert expected[0] == "raised" and expected[1] == "ValueError"
+        assert outcome(protocol_closure, conc, initials) == expected
+
+    def test_overflow_raises_as_the_reference_does(self):
+        conc = Stepper(cap=6)
+        initials = [counter_state(conc, 0, 0)]
+        expected = outcome(reference_closure, conc, initials, max_states=7)
+        assert expected[0] == "raised" and expected[1] == "MetatheoryViolation"
+        assert outcome(protocol_closure, conc, initials, max_states=7) == expected
