@@ -966,6 +966,14 @@ class DependencyAnalysis:
     duplicates: tuple[str, ...] = ()
     #: True when obligation collection itself failed (FCSL066).
     collection_failed: bool = False
+    #: The setup cone every obligation's cone includes.
+    setup: DependencyCone | None = field(default=None, repr=False)
+    #: The setup's protocol closures, in call order
+    #: (:class:`~repro.core.verify.ClosurePlan`).
+    closures: list = field(default_factory=list, repr=False)
+    #: The walk caches the obligation cones shared, for the closure
+    #: cones (they pin what they cache, and die with the analysis).
+    _caches: tuple = field(default=(), repr=False)
 
     @property
     def usable(self) -> bool:
@@ -977,6 +985,29 @@ class DependencyAnalysis:
         if index is None:
             return None
         return index.digests.get(defn.name)
+
+    def closure_cones(self) -> list[DependencyCone]:
+        """One cone per setup protocol closure, in call order: what
+        ``protocol_closure(conc, initials, max_states=...)`` can reach on
+        the current code, walked like an obligation's closure and unioned
+        with the setup cone (which built ``conc`` and ``initials``).  A
+        closure snapshot is keyed by it (:func:`repro.engine.depgraph.
+        closure_keys`) as an obligation's verdict is keyed by its cone."""
+        from ..core import concurroid
+
+        attrs, inert = self._caches or ({}, _InertCache())
+        cones: list[DependencyCone] = []
+        for ordinal, plan in enumerate(self.closures):
+            cone = DependencyCone(obligation=f"<closure {ordinal}>", category="")
+            _ConeWalker(cone, self.indexes, attr_cache=attrs, inert=inert).run(
+                concurroid.protocol_closure, plan.conc, plan.initials, plan.max_states
+            )
+            if self.setup is None:
+                cone.coarse = True
+            else:
+                _union_setup(cone, self.setup)
+            cones.append(cone)
+        return cones
 
     def cone_of(self, obligation: str) -> DependencyCone | None:
         for dep in self.obligations:
@@ -1147,14 +1178,25 @@ class DependencyAnalysis:
         return out
 
 
-def analyze_obligations(info, plan=None) -> DependencyAnalysis:
+def _union_setup(cone: DependencyCone, setup: DependencyCone) -> None:
+    cone.definitions.update(setup.definitions)
+    cone.externals.update(setup.externals)
+    cone.mutable_globals.update(setup.mutable_globals)
+    cone.dynamic.update(setup.dynamic)
+    cone.module_edges.update(setup.module_edges)
+    cone.coarse = cone.coarse or setup.coarse
+
+
+def analyze_obligations(info, plan=None, closures=None) -> DependencyAnalysis:
     """Collect ``info``'s obligation plan (without executing it) and walk
     every obligation's dependency cone.
 
     ``info`` is a :class:`~repro.structures.registry.ProgramInfo`.  A
     caller that already holds the program's :class:`ObligationPlan` list
     (the engine's collect-while-verifying work units) passes it as
-    ``plan`` and skips the collection run entirely.  Any failure is
+    ``plan``, and the setup's :class:`~repro.core.verify.ClosurePlan`
+    list the same run collected as ``closures``, and skips the
+    collection run entirely.  Any failure is
     *contained*: collection trouble yields an analysis marked unusable,
     walk trouble yields a coarse cone — callers fall back to
     whole-program fingerprints, never crash a sweep.
@@ -1172,6 +1214,7 @@ def analyze_obligations(info, plan=None) -> DependencyAnalysis:
             with collecting_obligations() as collector:
                 info.run_verifier()
             plan = list(collector)
+            closures = collector.closures
         except Exception:  # noqa: BLE001 - collection must not crash callers
             return DependencyAnalysis(
                 info.name, [], indexes, collection_failed=True
@@ -1201,14 +1244,17 @@ def analyze_obligations(info, plan=None) -> DependencyAnalysis:
     for item in plan:
         cone = DependencyCone(obligation=item.name, category=item.category)
         _ConeWalker(cone, indexes, attr_cache=attrs, inert=inert).run(item.fn)
-        cone.definitions.update(setup.definitions)
-        cone.externals.update(setup.externals)
-        cone.mutable_globals.update(setup.mutable_globals)
-        cone.dynamic.update(setup.dynamic)
-        cone.module_edges.update(setup.module_edges)
-        cone.coarse = cone.coarse or setup.coarse
+        _union_setup(cone, setup)
         obligations.append(ObligationDeps(item.name, item.category, cone))
-    return DependencyAnalysis(info.name, obligations, indexes, duplicates)
+    return DependencyAnalysis(
+        info.name,
+        obligations,
+        indexes,
+        duplicates,
+        setup=setup,
+        closures=list(closures or ()),
+        _caches=(attrs, inert),
+    )
 
 
 def deps_registry(names: Iterable[str] | None = None) -> list[Diagnostic]:

@@ -17,6 +17,7 @@ footprint, and the fork-join closure of the state space.
 
 from __future__ import annotations
 
+import pickle
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -645,6 +646,27 @@ class ProtocolGraph:
         value it interned there."""
         return self.interned.setdefault((label, value), value)
 
+    def snapshot(self) -> bytes:
+        """The pickled ``(states, trans, env, interned)`` of a graph
+        :func:`protocol_closure` just enumerated, before any checker
+        interns more values; :meth:`from_snapshot` rebuilds the graph.
+        Pickle names classes, so a reload resolves the values to the
+        current definitions, and the bytes pin no live object."""
+        return pickle.dumps(
+            (self.states, self.trans, self.env, self.interned), pickle.HIGHEST_PROTOCOL
+        )
+
+    @classmethod
+    def from_snapshot(cls, conc: Concurroid, blob: bytes) -> "ProtocolGraph":
+        """The graph of ``conc`` that :meth:`snapshot` pickled: the same
+        members in the same order, edge tables and intern table."""
+        states, trans, env, interned = pickle.loads(blob)
+        graph = cls(conc, states)
+        graph.trans = trans
+        graph.env = env
+        graph.interned = interned
+        return graph
+
     def memo_counts_since(self, before: Mapping[str, int]) -> dict[str, int]:
         """:attr:`memo_counts` minus an earlier copy ``before``."""
         return {name: count - before[name] for name, count in self.memo_counts.items()}
@@ -699,14 +721,58 @@ def protocol_closure(
     (and raises the same :class:`MetatheoryViolation` there on overflow).
     Executing runs stay eager, so an overflow raises at this call and not
     inside an obligation, where it would be recorded as a failure.
+
+    A closure the verifier's setup builds is recorded in the plan being
+    collected, and consults the run's closure snapshots
+    (:func:`repro.core.verify.setup_closure`): a snapshot stored under
+    the closure's key is loaded instead of enumerating
+    (:meth:`ProtocolGraph.from_snapshot`), and an enumerated graph is
+    offered to them before any checker reads it.  A snapshot that does
+    not load falls back to the enumeration.
     """
-    from .verify import planning_only
+    from .verify import planning_only, setup_closure
 
     initials = tuple(initials)
+    snapshots = setup_closure(conc, initials, max_states)
     if planning_only():
         return _DeferredGraph(conc, initials, max_states)
+    if snapshots is not None:
+        graph = _load_snapshot(conc, snapshots.load(conc, initials, max_states))
+        if graph is not None:
+            return graph
     graph = ProtocolGraph.__new__(ProtocolGraph)
-    _enumerate_closure(graph, conc, initials, max_states, deferred=False)
+    _enumerate_closure(graph, conc, initials, max_states, deferred=False, snapshots=snapshots)
+    return graph
+
+
+def _load_snapshot(conc: Concurroid, blob: bytes | None) -> ProtocolGraph | None:
+    """The graph ``blob`` holds, with a ``protocol_closure`` span that
+    says it was loaded; ``None`` when there is no blob or it does not
+    load."""
+    if blob is None:
+        return None
+    tr = obs_tracer.current()
+    started = time.perf_counter()
+    try:
+        graph = ProtocolGraph.from_snapshot(conc, blob)
+    except Exception:  # noqa: BLE001 - the enumeration is the fallback
+        return None
+    if tr is not None:
+        tr.span(
+            "protocol_closure",
+            "core",
+            started * 1e6,
+            time.perf_counter() * 1e6,
+            concurroid=type(conc).__name__,
+            states=len(graph),
+            edges=sum(map(len, graph.trans.values())) + sum(map(len, graph.env.values())),
+            sources_run=0,
+            sources_replayed=0,
+            env_from_flips=0,
+            deferred=False,
+            snapshot="loaded",
+            snapshot_bytes=len(blob),
+        )
     return graph
 
 
@@ -824,12 +890,14 @@ def _enumerate_closure(
     max_states: int,
     *,
     deferred: bool,
+    snapshots: Any = None,
 ) -> None:
     """Enumerate the protocol closure of ``initials`` into ``graph``.
 
     The one place a closure is enumerated, so its ``protocol_closure``
-    span (states, edges, source runs and replays, and whether the graph
-    was ``deferred``) says where the work ran.  Each new member's values
+    span (states, edges, source runs and replays, whether the graph
+    was ``deferred``, and whether ``snapshots`` stored it) says where
+    the work ran.  Each new member's values
     are interned (see :meth:`ProtocolGraph.intern`) as it is added, so
     members share them, and members share one :class:`SubjState` per
     distinct component.
@@ -927,6 +995,7 @@ def _enumerate_closure(
     graph.interned = interner.values
     graph.trans = trans
     graph.env = env
+    stored = snapshots.store(graph) if snapshots is not None else 0
     if tr is not None:
         sources = step_sources + env_sources
         tr.span(
@@ -941,6 +1010,8 @@ def _enumerate_closure(
             sources_replayed=sum(source.replays for source in sources),
             env_from_flips=env_from_flips,
             deferred=deferred,
+            snapshot="stored" if stored else None,
+            snapshot_bytes=stored,
         )
 
 

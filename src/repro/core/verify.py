@@ -22,7 +22,7 @@ import time
 import traceback as _traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from ..obs import tracer as obs_tracer
 from .errors import SpecViolation
@@ -35,11 +35,12 @@ CATEGORIES = ("Libs", "Conc", "Acts", "Stab", "Main")
 # -- the verify options -------------------------------------------------------------------
 #
 # What a verifier run is asked to do beyond its program: the bounded
-# livelock detector, the explorer cap scale, the obligation-name filter
-# and the static pre-pass.  The engine installs one VerifyOptions
-# around each work unit's run_verifier call (the filter comes with the
-# unit, the rest with the sweep); ReportBuilder.obligation,
-# check_triple and check_stability read only that install.
+# livelock detector, the explorer cap scale, the obligation-name filter,
+# the static pre-pass and the closure snapshots.  The engine installs one
+# VerifyOptions around each work unit's run_verifier call (the filter and
+# the snapshots come with the unit, the rest with the sweep);
+# ReportBuilder.obligation, check_triple, check_stability and
+# protocol_closure read only that install.
 # Thread-local, like the plan sink below, and nothing else — no process
 # global, no environment — so a verdict depends only on the program and
 # the options it was run with.
@@ -72,6 +73,14 @@ class VerifyOptions:
     #: analysis package.  It holds no state: the facts it derives live
     #: on the protocol graph they describe.
     prepass: Any = None
+    #: The closure snapshots :func:`repro.core.concurroid.protocol_closure`
+    #: consults for each closure the verifier's setup builds
+    #: (``repro.engine.snapshots.UnitSnapshots`` in a daemon sweep).
+    #: Duck-typed -- ``load(conc, initials, max_states) -> bytes | None``
+    #: per setup closure, in call order, then ``store(graph) -> int``
+    #: (the bytes it stored) after each one it enumerated -- so core
+    #: never imports the engine.
+    closures: Any = None
 
 
 _OPTIONS = threading.local()
@@ -122,12 +131,43 @@ class ObligationPlan:
         self.fn = fn
 
 
+class ClosurePlan(NamedTuple):
+    """One protocol closure a verifier's setup builds: the arguments of
+    its :func:`~repro.core.concurroid.protocol_closure` call."""
+
+    conc: Any
+    initials: tuple
+    max_states: int
+
+
 def _plan_sink():
     return getattr(_PLAN_SINK, "sink", None)
 
 
 def _plan_executes() -> bool:
     return getattr(_PLAN_SINK, "execute", False)
+
+
+def _closure_sink() -> list[ClosurePlan] | None:
+    return getattr(_PLAN_SINK, "closures", None)
+
+
+def setup_closure(conc: Any, initials: tuple, max_states: int) -> Any:
+    """Announce one :func:`~repro.core.concurroid.protocol_closure` call.
+
+    A closure the verifier's *setup* builds -- not one an obligation
+    builds while it runs -- is recorded in the plan being collected, and
+    gets the installed options' closure snapshots, which this returns
+    (``None`` for an obligation's closure or when none are installed).
+    Only setup closures count, so the i-th one is the same closure in a
+    collection run and in a run that executes a subset of the
+    obligations."""
+    if _frames():
+        return None
+    sink = _closure_sink()
+    if sink is not None:
+        sink.append(ClosurePlan(conc, initials, max_states))
+    return current_options().closures
 
 
 def planning_only() -> bool:
@@ -151,18 +191,20 @@ class collecting_obligations:
 
     def __init__(self, execute: bool = False):
         self.plan: list[ObligationPlan] = []
+        #: the setup's protocol closures, in call order (see
+        #: :func:`setup_closure`)
+        self.closures: list[ClosurePlan] = []
         self._execute = execute
 
     def __enter__(self) -> "collecting_obligations":
-        self._previous = _plan_sink()
-        self._previous_execute = _plan_executes()
+        self._previous = (_plan_sink(), _plan_executes(), _closure_sink())
         _PLAN_SINK.sink = self.plan
         _PLAN_SINK.execute = self._execute
+        _PLAN_SINK.closures = self.closures
         return self
 
     def __exit__(self, *exc) -> None:
-        _PLAN_SINK.sink = self._previous
-        _PLAN_SINK.execute = self._previous_execute
+        _PLAN_SINK.sink, _PLAN_SINK.execute, _PLAN_SINK.closures = self._previous
 
     def __iter__(self):
         return iter(self.plan)

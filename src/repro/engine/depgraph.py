@@ -18,6 +18,11 @@ Fall-back ladder (soundness over precision, always):
 * an **unusable analysis** (duplicate obligation names, collection
   failure) produces no graph at all and the program verifies fully.
 
+The same composition keys a warm session's protocol-closure snapshots
+(:func:`closure_keys`, :mod:`repro.engine.snapshots`): the cone of a
+setup closure stands in for an obligation's, and a coarse one keys
+nothing.
+
 ``repro deps <program>`` dumps the graph as JSON or Graphviz dot.
 """
 
@@ -136,19 +141,49 @@ def obligation_fingerprint(
     return digest.hexdigest()
 
 
+def closure_keys(
+    info, analysis: DependencyAnalysis, *, extra_kwargs: dict | None = None
+) -> tuple[str | None, ...]:
+    """The key of each setup protocol closure of the analysed run, in
+    call order: an obligation fingerprint (:func:`obligation_fingerprint`)
+    of the closure's cone (:meth:`DependencyAnalysis.closure_cones`),
+    under the pseudo-obligation name ``<closure N>``.  ``None`` for a
+    closure whose cone is coarse or whose walk failed: its snapshot is
+    never stored or loaded.  The closure's inputs (the initials' stable
+    digest, ``max_states``) join the key where the closure is built
+    (:mod:`repro.engine.snapshots`)."""
+    try:
+        cones = analysis.closure_cones()
+    except Exception:  # noqa: BLE001 - no key, no snapshot
+        return (None,) * len(analysis.closures)
+    keys: list[str | None] = []
+    for cone in cones:
+        if cone.coarse:
+            keys.append(None)
+            continue
+        keys.append(
+            obligation_fingerprint(
+                info, analysis, cone.obligation, cone.category,
+                list(cone.definitions), extra_kwargs=extra_kwargs,
+            )
+        )
+    return tuple(keys)
+
+
 def build_depgraph(
-    info, *, extra_kwargs: dict | None = None, plan=None
+    info, *, extra_kwargs: dict | None = None, plan=None, closures=None
 ) -> DepGraph | None:
     """Analyze ``info`` and build its :class:`DepGraph`.
 
-    ``plan`` is an already-collected :class:`ObligationPlan` list — the
-    engine's collect-while-verifying units pass it so the verifier's
-    setup runs once, not once per phase.  Returns ``None`` when
-    per-obligation keys are unsound for this program (duplicate
-    obligation names, collection failure): the caller must fall back to
-    whole-program verification.
+    ``plan`` is an already-collected :class:`ObligationPlan` list, and
+    ``closures`` the :class:`~repro.core.verify.ClosurePlan` list of the
+    same run — the engine's collect-while-verifying units pass them so
+    the verifier's setup runs once, not once per phase.  Returns
+    ``None`` when per-obligation keys are unsound for this program
+    (duplicate obligation names, collection failure): the caller must
+    fall back to whole-program verification.
     """
-    analysis = analyze_obligations(info, plan=plan)
+    analysis = analyze_obligations(info, plan=plan, closures=closures)
     return depgraph_from_analysis(info, analysis, extra_kwargs=extra_kwargs)
 
 

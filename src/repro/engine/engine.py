@@ -68,11 +68,12 @@ from ..core.verify import (
 from ..obs import tracer as obs_tracer
 from ..structures.registry import ProgramInfo, all_programs, registry_programs
 from .cache import ObligationCache, default_cache_dir
-from .depgraph import DepGraph, build_depgraph
+from .depgraph import DepGraph, build_depgraph, closure_keys
 from .faults import FaultPlan, maybe_inject, plan_installed
 from .fingerprint import program_fingerprint
 from .journal import SweepJournal, journal_path, load_image
 from .queue import UnitRecord, WorkUnit
+from .snapshots import ClosureSnapshots
 from .supervisor import (
     INFRA_STATUSES,
     Supervisor,
@@ -358,10 +359,18 @@ class _UnitWorker:
     callable with every dispatch, so the watchdog's rung-2 shrink —
     which replaces ``options`` — reaches every unit dispatched after it,
     in a pool worker and in-process alike.
+
+    A closure snapshot table (``snapshots``) serves in-process units
+    only: it is not pickled, since a pool worker's stores would die with
+    the worker.
     """
 
-    def __init__(self, options: VerifyOptions):
+    def __init__(self, options: VerifyOptions, snapshots: ClosureSnapshots | None = None):
         self.options = options
+        self.snapshots = snapshots
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {"options": self.options, "snapshots": None}
 
     def __call__(self, unit: WorkUnit, attempt: int = 1) -> dict[str, Any]:
         """Run one work unit's verifier; returns a picklable payload.
@@ -379,7 +388,15 @@ class _UnitWorker:
         maybe_inject(unit.program, attempt)
         if unit.names is not None:
             maybe_inject(unit.name, attempt)
-        options = replace(self.options, names=unit.names)
+        options = replace(
+            self.options,
+            names=unit.names,
+            closures=(
+                self.snapshots.for_unit(unit.program, unit.closure_keys)
+                if self.snapshots is not None and (unit.collect_deps or unit.closure_keys)
+                else None
+            ),
+        )
         if obs_tracer.local_session_needed():
             # Pool worker under a tracing parent: collect a local trace and
             # ship its (picklable) records home in the payload for ingestion.
@@ -393,7 +410,7 @@ class _UnitWorker:
 def _verify_payload(unit: WorkUnit, options: VerifyOptions) -> dict[str, Any]:
     info = unit.info
     started = time.perf_counter()
-    collected: list | None = None
+    collected: collecting_obligations | None = None
     try:
         # An incremental unit (fcsl-deps) executes (and records) only
         # its stale obligations — the fresh rest replay from their
@@ -405,9 +422,8 @@ def _verify_payload(unit: WorkUnit, options: VerifyOptions) -> dict[str, Any]:
                 # cones right here — one setup pays for both the verdicts
                 # and the per-obligation fingerprint map the next run
                 # diffs against.
-                with collecting_obligations(execute=True) as collector:
+                with collecting_obligations(execute=True) as collected:
                     report = info.run_verifier()
-                collected = list(collector)
             else:
                 report = info.run_verifier()
     except Exception as exc:  # noqa: BLE001 - structured, not pickled
@@ -427,11 +443,17 @@ def _verify_payload(unit: WorkUnit, options: VerifyOptions) -> dict[str, Any]:
             # the entry is then stored without a map and the next
             # incremental run backfills it on the cache hit.
             try:
-                graph = build_depgraph(info, plan=collected)
+                graph = build_depgraph(
+                    info, plan=collected.plan, closures=collected.closures
+                )
             except Exception:  # noqa: BLE001 - analysis trouble only
                 graph = None
             if graph is not None:
                 payload["obligations"] = graph.fingerprints
+                if options.closures is not None:
+                    # The setup's closures were snapshotted as they were
+                    # enumerated; the walk just gave them their keys.
+                    options.closures.commit(closure_keys(info, graph.analysis))
             payload["seconds"] = time.perf_counter() - started
     tr = obs_tracer.current()
     if tr is not None:
@@ -471,6 +493,8 @@ class _SweepState:
     journal: SweepJournal | None
     incremental: bool
     tr: Any
+    #: the session's closure snapshot table, if any
+    snapshots: ClosureSnapshots | None = None
     #: program -> its unit's terminal record
     unit_records: dict[str, UnitRecord] = field(default_factory=dict)
     outcomes: dict[str, ProgramOutcome] = field(default_factory=dict)
@@ -657,7 +681,13 @@ def _plan_incremental(state: _SweepState) -> None:
                 graph=graph, order=order, stale=stale, cached=cached_results
             )
             state.program_units[info.name] = WorkUnit(
-                info, names=frozenset(stale)
+                info,
+                names=frozenset(stale),
+                closure_keys=(
+                    closure_keys(info, graph.analysis)
+                    if state.snapshots is not None
+                    else None
+                ),
             )
             continue
         merged = VerificationReport(info.name)
@@ -934,6 +964,7 @@ def sweep(
     max_disk_mb: float | None = None,
     on_lease: Any = None,
     on_result: Any = None,
+    snapshots: ClosureSnapshots | None = None,
 ) -> SweepResult:
     """Verify ``programs``, replaying cached verdicts and fanning the rest
     out over ``jobs`` supervised worker processes (``None`` = one per
@@ -964,7 +995,10 @@ def sweep(
     fingerprints of its cache entry, and only obligations whose cone
     contains the edit re-execute.  Every fall-back degrades to the full
     verification; tests/test_incremental.py gates equality with a cold
-    run.  It needs the cache.
+    run.  It needs the cache.  ``snapshots`` (the daemon session's
+    :class:`~repro.engine.snapshots.ClosureSnapshots`) lets its
+    in-process units load the protocol closures no edit touched instead
+    of enumerating them, and store the ones they enumerate.
 
     ``max_rss_mb``/``max_disk_mb`` arm the resource watchdog (soft
     budgets, MiB): at 70% parallelism is shed; at 85% explorer caps
@@ -997,10 +1031,12 @@ def sweep(
         journal=SweepJournal(jpath) if journal else None,
         incremental=incremental,
         tr=tr,
+        snapshots=snapshots if incremental else None,
     )
     sj = state.journal
     worker = _UnitWorker(
-        VerifyOptions(liveness=liveness, prepass=StaticPrepass() if prepass else None)
+        VerifyOptions(liveness=liveness, prepass=StaticPrepass() if prepass else None),
+        state.snapshots,
     )
 
     # The plan stays installed for the whole body: cache stores, journal

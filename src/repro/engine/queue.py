@@ -44,6 +44,10 @@ class WorkUnit:
     #: the per-obligation fingerprint map home in its payload, so the
     #: verifier's setup runs once instead of once per phase.
     collect_deps: bool = False
+    #: Incremental units under a closure snapshot table: the cone key of
+    #: each setup protocol closure, in call order
+    #: (:func:`repro.engine.depgraph.closure_keys`).
+    closure_keys: tuple[str | None, ...] | None = None
 
     @property
     def program(self) -> str:

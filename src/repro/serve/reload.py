@@ -12,7 +12,8 @@ unsound.  :class:`ModuleTracker` closes the gap:
   the tracker reloads every changed module *plus its transitive
   importers within the structures package* (import edges recovered
   statically from the AST, so an unimported module can never be missed;
-  each file is parsed once per source version, not once per refresh),
+  each source version is parsed once, in a bounded memo keyed by its
+  digest, so an edit and its undo both reuse their parse),
   deps-first, then drops the registry's memoized rows
   (:func:`repro.structures.registry.reset_registry`) so the next sweep
   re-binds the fresh verifier functions.  The registry module itself is
@@ -37,10 +38,15 @@ import ast
 import hashlib
 import importlib
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
 STRUCTURES_PREFIX = "repro.structures"
+#: Parsed import-edge sets :class:`ModuleTracker` keeps, most recently
+#: used last: room for an edited and an undone version of every
+#: structures module, bounded however many versions a session sees.
+IMPORT_MEMO_SIZE = 128
 #: Never reloaded: the rest of the process holds references into it;
 #: ``reset_registry`` refreshes the only state it caches.
 REGISTRY_MODULE = "repro.structures.registry"
@@ -141,9 +147,10 @@ class ModuleTracker:
 
     def __init__(self) -> None:
         self._digests: dict[str, str | None] = {}
-        #: (path, package) -> (source digest, import edges) of the version
-        #: last parsed: edges change only when the file's digest does
-        self._edges: dict[tuple[str, str], tuple[str, frozenset[str]]] = {}
+        #: (source digest, package) -> import edges, least recently used
+        #: first: every version of a file is parsed once while its entry
+        #: lasts, so an edit and its undo are both reused
+        self._edges: OrderedDict[tuple[str, str], frozenset[str]] = OrderedDict()
         #: Latched on the first framework edit; only a restart clears it.
         self.stale_framework = False
         self.snapshot()
@@ -207,18 +214,20 @@ class ModuleTracker:
 
     def _imports(self, name: str, path: str) -> frozenset[str]:
         """The import edges of module ``name`` (see :func:`_import_edges`),
-        parsed once per source version."""
+        parsed once per source version while the bounded memo keeps it."""
         try:
             source = Path(path).read_bytes()
         except OSError:
             return frozenset()
-        digest = hashlib.sha256(source).hexdigest()
-        key = (path, _package_of(name))
-        known = self._edges.get(key)
-        if known is None or known[0] != digest:
-            known = (digest, _import_edges(source, key[1]))
-            self._edges[key] = known
-        return known[1]
+        key = (hashlib.sha256(source).hexdigest(), _package_of(name))
+        edges = self._edges.get(key)
+        if edges is None:
+            edges = self._edges[key] = _import_edges(source, key[1])
+            if len(self._edges) > IMPORT_MEMO_SIZE:
+                self._edges.popitem(last=False)
+        else:
+            self._edges.move_to_end(key)
+        return edges
 
     def _dependents_closure(self, changed: set[str]) -> set[str]:
         """``changed`` plus every loaded structures module that

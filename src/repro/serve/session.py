@@ -11,7 +11,12 @@ between requests:
   kept resident and diffed on demand (the watcher's delta detector);
 * the **obligation cache**: a resident handle plus the OS page cache
   over its entries; daemon verifies run ``incremental`` by default, so
-  an edit re-executes only the stale cone (PR 9 machinery).
+  an edit re-executes only the stale cone;
+* the **closure snapshots** (:class:`~repro.engine.snapshots.
+  ClosureSnapshots`): one pickled protocol closure per (program, setup
+  closure), so a stale slice whose closure's cone no edit touched loads
+  it instead of enumerating it again.  An entry is replaced when its key
+  changes, so the table does not grow per cycle.
 
 The static pre-pass is not resident: each verify's sweep carries a
 stateless :class:`~repro.analysis.prepass.StaticPrepass` in its options,
@@ -79,11 +84,13 @@ class Session:
         trace_dir: str | None = None,
     ) -> None:
         from ..engine.cache import ObligationCache
+        from ..engine.snapshots import ClosureSnapshots
 
         self.cache_dir = cache_dir
         self.jobs = jobs
         self.trace_dir = trace_dir
         self.cache = ObligationCache(cache_dir)
+        self.snapshots = ClosureSnapshots()
         self.tracker = ModuleTracker()
         self.fingerprints: dict[str, str] = {}
         self.started = time.monotonic()
@@ -185,6 +192,7 @@ class Session:
             "requests": dict(self.requests),
             "stale_framework": self.tracker.stale_framework,
             "fingerprints_resident": len(self.fingerprints),
+            "closure_snapshots": self.snapshots.status(),
         }
         return result_frame(request.id, "status", 0, payload)
 
@@ -258,6 +266,7 @@ class Session:
                 incremental=incremental,
                 on_lease=on_lease,
                 on_result=on_result,
+                snapshots=self.snapshots,
             )
         except KeyError as exc:
             return error_frame(request.id, "bad-request", str(exc.args[0]))

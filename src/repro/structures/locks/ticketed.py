@@ -155,8 +155,15 @@ class TicketedLockConcurroid(Concurroid):
 
             return state.update(lbl, upd)
 
+        def serving_self(state: State) -> bool:
+            owner, __ = self.counters(state)
+            return owner in self.tickets_of(state[lbl].self_)
+
+        # ``release`` and ``crit`` are self-enabled: their parameters are
+        # enumerated only where the guard can admit one.
         def release_params(state: State) -> Iterator[Any]:
-            yield from self._aux_candidates(state)
+            if serving_self(state):
+                yield from self._aux_candidates(state)
 
         def release_requires(state: State, new_aux: Any) -> bool:
             comp = state[lbl]
@@ -180,6 +187,8 @@ class TicketedLockConcurroid(Concurroid):
             return state.update(lbl, upd)
 
         def crit_params(state: State) -> Iterator[tuple[Ptr, Any]]:
+            if not serving_self(state):
+                return
             comp = state[lbl]
             for p in sorted(comp.joint.dom(), key=lambda q: q.addr):
                 if p in (self._next, self._owner):

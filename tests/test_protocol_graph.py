@@ -16,11 +16,14 @@ preservation (so Conc enumerates the transitions again).
 
 from __future__ import annotations
 
+import importlib
+import sys
 from collections import deque
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import pytest
 
+import repro.analysis.deps as deps_mod
 from repro.core import action as action_mod
 from repro.core import concurroid as conc_mod
 from repro.core import stability as stability_mod
@@ -36,10 +39,18 @@ from repro.core.concurroid import (
 from repro.core.errors import MetatheoryViolation, StabilityViolation
 from repro.core.stability import StabilityIssue, _record_stability_witness
 from repro.core.state import State, SubjState
-from repro.core.verify import collecting_obligations
+from repro.core.verify import (
+    ReportBuilder,
+    VerifyOptions,
+    collecting_obligations,
+    options_installed,
+)
+from repro.engine import sweep
+from repro.engine.snapshots import ClosureSnapshots
 from repro.heap import Heap, Ptr, pts
 from repro.obs import tracer
 from repro.pcm.natpcm import NatPCM
+from repro.structures.registry import ProgramInfo
 from repro.structures.locks.verify import (
     RES_CELL,
     lock_initial_state,
@@ -1525,3 +1536,217 @@ class TestFlip:
         expected = outcome(reference_closure, conc, initials, max_states=7)
         assert expected[0] == "raised" and expected[1] == "MetatheoryViolation"
         assert outcome(protocol_closure, conc, initials, max_states=7) == expected
+
+
+# -- closure snapshots --------------------------------------------------------------
+
+
+def snapshot_view(table: ClosureSnapshots, count: int = 1):
+    """A unit's snapshot view keying ``count`` setup closures."""
+    return table.for_unit("row", tuple(f"key-{i}" for i in range(count)))
+
+
+def closure_through(view, conc: Concurroid, initials, **kwargs: Any) -> tuple[ProtocolGraph, dict]:
+    """``protocol_closure`` under ``view``, with the span it recorded."""
+    with options_installed(VerifyOptions(closures=view)):
+        return traced(protocol_closure, conc, initials, **kwargs)
+
+
+def assert_same_graph(loaded: ProtocolGraph, graph: ProtocolGraph) -> None:
+    """Member order, every member's ``repr`` (the order inside its
+    frozensets included), the edge tuples and the intern table."""
+    assert [repr(s) for s in loaded.states] == [repr(s) for s in graph.states]
+    assert loaded.states == graph.states
+    assert list(loaded.trans.items()) == list(graph.trans.items())
+    assert list(loaded.env.items()) == list(graph.env.items())
+    assert list(loaded.interned.items()) == list(graph.interned.items())
+    # edges name members by pointer, and members share interned values
+    members = {id(s) for s in loaded.states}
+    for table in (loaded.trans, loaded.env):
+        assert all(id(s) in members for s in table)
+        assert all(id(s2) in members for succs in table.values() for s2 in succs)
+    TestValueMemo.assert_members_interned(loaded)
+
+
+class TestSnapshots:
+    """A closure loaded from its snapshot is the graph the enumeration
+    builds, and a snapshot is only ever stored for a setup closure that
+    enumerated in full."""
+
+    def test_registry_closures_load_as_enumerated(self, registry_closures):
+        for row, conc, initials, max_states in registry_closures:
+            table = ClosureSnapshots()
+            graph, span = closure_through(
+                snapshot_view(table), conc, initials, max_states=max_states
+            )
+            assert span["snapshot"] == "stored" and span["snapshot_bytes"] > 0, row
+            assert len(table) == 1 and table.stores == 1, row
+            loaded, span = closure_through(
+                snapshot_view(table), conc, initials, max_states=max_states
+            )
+            assert span["snapshot"] == "loaded" and table.loads == 1, row
+            assert span["states"] == len(graph) and span["sources_run"] == 0, row
+            assert loaded is not graph and loaded.conc is conc, row
+            assert_same_graph(loaded, graph)
+
+    def test_other_inputs_or_keys_miss(self):
+        conc, initials = _ticketed_initials()
+        table = ClosureSnapshots()
+        closure_through(snapshot_view(table), conc, initials)
+        for view, inputs in (
+            (snapshot_view(table), initials[:2]),  # other initials
+            (table.for_unit("row", ("key-other",)), initials),  # other cone
+            (table.for_unit("row", (None,)), initials),  # coarse cone
+        ):
+            graph, span = closure_through(view, conc, inputs)
+            assert span.get("snapshot") != "loaded"
+        assert table.loads == 0
+        # a coarse cone stores nothing; the other misses replaced the entry
+        assert len(table) == 1 and table.stores == 3
+
+    def test_overflow_stores_no_snapshot(self):
+        conc = CounterConcurroid(cap=1000)
+        table = ClosureSnapshots()
+        view = snapshot_view(table)
+        with options_installed(VerifyOptions(closures=view)):
+            with pytest.raises(MetatheoryViolation):
+                protocol_closure(conc, [counter_state(conc)], max_states=10)
+        assert len(table) == 0 and table.stores == 0 and not view.pending
+
+    def test_an_obligation_closure_is_never_snapshotted(self):
+        conc = CounterConcurroid(cap=3)
+        table = ClosureSnapshots()
+        view = snapshot_view(table)
+        builder = ReportBuilder("row")
+        with options_installed(VerifyOptions(closures=view)):
+            builder.obligation(
+                "inner", "Conc", lambda: check_concurroid(
+                    conc, protocol_closure(conc, [counter_state(conc)])
+                )
+            )
+        assert builder.build().ok
+        assert view.ordinal == -1 and len(table) == 0
+
+    def test_a_cold_unit_stores_once_its_keys_arrive(self):
+        conc, initials = _ticketed_initials()
+        table = ClosureSnapshots()
+        view = table.for_unit("row", None)
+        graph, span = closure_through(view, conc, initials)
+        assert span["snapshot"] == "stored" and len(table) == 0
+        view.commit((None,))  # a coarse cone: dropped
+        assert len(table) == 0 and not view.pending
+        view = table.for_unit("row", None)
+        closure_through(view, conc, initials)
+        view.commit(("key-0",))
+        loaded, span = closure_through(snapshot_view(table), conc, initials)
+        assert span["snapshot"] == "loaded"
+        assert_same_graph(loaded, graph)
+
+
+#: A tracked case study for the snapshot-key tests: its setup factory
+#: fixes the cap the closure enumerates up to, and ``unrelated`` is read
+#: by one obligation only.
+SNAP_MODULE = "snap_probe_mod"
+SNAP_SOURCE = '''
+"""Synthetic case study backing the closure-snapshot key tests."""
+
+from repro.core.concurroid import Concurroid, Transition, protocol_closure
+from repro.core.state import SubjState, state_of
+from repro.core.verify import ReportBuilder
+from repro.heap import ptr, pts
+
+CELL = ptr(7)
+
+
+class Capped(Concurroid):
+    labels = ("ct",)
+
+    def __init__(self, cap):
+        self._cap = cap
+
+    def coherent(self, state):
+        return "ct" in state
+
+    def transitions(self):
+        def requires(state, __):
+            return state.joint_of("ct")[CELL] < self._cap
+
+        def effect(state, __):
+            c = state["ct"]
+            joint = c.joint.update(CELL, c.joint[CELL] + 1)
+            return state.set("ct", SubjState(c.self_ + 1, joint, c.other))
+
+        return (Transition("ct.bump", requires, effect),)
+
+
+def make_capped():
+    return Capped(cap=3)
+
+
+def unrelated():
+    return 1
+
+
+def verify(**kwargs):
+    conc = make_capped()
+    states = protocol_closure(conc, [state_of(ct=SubjState(0, pts(CELL, 0), 0))])
+    tops = sorted(s.joint_of("ct")[CELL] for s in states)
+    builder = ReportBuilder("Snap")
+    builder.obligation("closure-top", "Conc", lambda: [f"top {tops[-1]}"])
+    builder.obligation("unrelated", "Libs", lambda: [] if unrelated() == 1 else ["no"])
+    return builder.build()
+'''
+
+
+class TestSnapshotKeys:
+    """An incremental sweep with a snapshot table loads a closure exactly
+    when nothing in its cone -- the setup cone included -- changed."""
+
+    @pytest.fixture()
+    def probe(self, tmp_path, monkeypatch):
+        module = tmp_path / f"{SNAP_MODULE}.py"
+        module.write_text(SNAP_SOURCE, encoding="utf-8")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setattr(deps_mod, "TRACKED_PREFIX", SNAP_MODULE)
+        # Two versions of the module may share an mtime: never cache bytecode.
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        sys.modules.pop(SNAP_MODULE, None)
+        yield module, tmp_path / "cache"
+        sys.modules.pop(SNAP_MODULE, None)
+
+    @staticmethod
+    def sweep_edited(module, cache, table, old: str = "", new: str = ""):
+        if old:
+            text = module.read_text(encoding="utf-8")
+            assert old in text
+            module.write_text(text.replace(old, new), encoding="utf-8")
+        importlib.invalidate_caches()
+        sys.modules.pop(SNAP_MODULE, None)
+        probe = importlib.import_module(SNAP_MODULE)
+        info = ProgramInfo(
+            name="Snap", concurroids={}, modules=(SNAP_MODULE,), verifier=probe.verify
+        )
+        result = sweep([info], jobs=1, cache_dir=cache, incremental=True, snapshots=table)
+        (failure,) = result.outcome("Snap").report.failures()
+        return failure.issues, result.reverified
+
+    def test_an_edit_outside_the_cone_loads(self, probe):
+        module, cache = probe
+        table = ClosureSnapshots()
+        assert self.sweep_edited(module, cache, table) == (["top 3"], 2)
+        assert (len(table), table.stores, table.loads) == (1, 1, 0)
+        edited = self.sweep_edited(
+            module, cache, table, "    return 1\n", "    # a comment\n    return 1\n"
+        )
+        assert edited == (["top 3"], 1)
+        assert (len(table), table.stores, table.loads) == (1, 1, 1)
+
+    def test_a_setup_edit_misses(self, probe):
+        module, cache = probe
+        table = ClosureSnapshots()
+        self.sweep_edited(module, cache, table)
+        # Only the setup factory changes: the closure's own cone and its
+        # initials do not, yet the closure grows.
+        edited = self.sweep_edited(module, cache, table, "cap=3", "cap=4")
+        assert edited == (["top 4"], 2)
+        assert (len(table), table.stores, table.loads) == (1, 2, 0)

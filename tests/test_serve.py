@@ -15,7 +15,11 @@ Covers the guarantees docs/SERVING.md makes:
 * the chaos hook — ``OP:conndrop@N`` drops the connection before the
   terminal frame and the retry is served;
 * hot-reload — an edited case study reloads, a framework edit latches
-  ``stale_framework`` and analysis ops are refused;
+  ``stale_framework`` and analysis ops are refused, and each source
+  version's import edges are parsed once;
+* closure snapshots — a warm cycle loads a protocol closure whose cone
+  the edit left alone, misses on an edit inside it, and the table holds
+  one entry per closure however many cycles run;
 * the equivalence gate — a warm daemon's ``verify`` returns verdicts,
   violation kinds and witnesses identical to a one-shot sweep.  Tier-1
   runs it over a representative subset (the repo's test_incremental
@@ -160,6 +164,9 @@ class TestDaemon:
         assert payload["pid"] == os.getpid()
         assert payload["programs"] >= 11
         assert payload["stale_framework"] is False
+        assert payload["closure_snapshots"] == {
+            "count": 0, "bytes": 0, "loads": 0, "stores": 0
+        }
 
     def test_malformed_json_gets_error_daemon_survives(self, daemon):
         frames = _raw_frames(daemon.socket_path, b"this is not json\n")
@@ -564,6 +571,37 @@ class TestReload:
         )
         assert order == ["repro.structures.locks.caslock", "repro.structures.locks"]
 
+    def test_import_edges_are_parsed_once_per_source_version(self, tmp_path, monkeypatch):
+        import repro.serve.reload as reload_mod
+
+        parses = []
+        parse = reload_mod._import_edges
+
+        def counting(source, package):
+            parses.append(source)
+            return parse(source, package)
+
+        monkeypatch.setattr(reload_mod, "_import_edges", counting)
+        monkeypatch.setattr(reload_mod, "IMPORT_MEMO_SIZE", 3)
+        tracker = ModuleTracker()
+        module = tmp_path / "probe.py"
+        name = "repro.structures.probe"
+        edit = "from repro.structures.locks import caslock\n"
+        undo = "from . import ticketed\n"
+        for text in (edit, undo, edit, undo, edit):
+            module.write_text(text, encoding="utf-8")
+            edges = tracker._imports(name, str(module))
+        assert len(parses) == 2  # an edit and its undo: one parse each
+        assert "repro.structures.locks.caslock" in edges
+        # the memo is bounded: older versions are forgotten, not kept
+        for i in range(5):
+            module.write_text(f"{edit}# version {i}\n", encoding="utf-8")
+            tracker._imports(name, str(module))
+        assert len(tracker._edges) == 3
+        module.write_text(undo, encoding="utf-8")
+        tracker._imports(name, str(module))
+        assert len(parses) == 8
+
     def test_framework_stale_latch_refuses_analysis_ops(self, daemon):
         daemon.session.tracker.stale_framework = True
         frame = call(
@@ -644,7 +682,7 @@ _CYCLE_CENSUS = textwrap.dedent(
     session = Session(cache_dir=str(tmp / "cache"))
     server = DaemonServer(session, socket_path=tmp / "serve.sock")
     server.start()
-    out = {"codes": [], "classes": [], "concurroids": [], "reexported": []}
+    out = {"codes": [], "classes": [], "concurroids": [], "reexported": [], "snapshots": []}
     try:
         call("verify", {"programs": ["CAS-lock"]}, socket_path=server.socket_path,
              timeout=300)
@@ -670,6 +708,8 @@ _CYCLE_CENSUS = textwrap.dedent(
                 sys.modules["repro.structures.locks"].CASLock
                 is sys.modules["repro.structures.locks.caslock"].CASLock
             )
+            status = session.snapshots.status()
+            out["snapshots"].append([status["count"], status["bytes"], status["stores"]])
     finally:
         server.stop()
     print(json.dumps(out))
@@ -700,6 +740,150 @@ class TestCycleGrowth:
         assert out["classes"] == [out["classes"][0]] * 3
         assert out["concurroids"] == [out["concurroids"][0]] * 3
         assert out["reexported"] == [True] * 3
+        # the edit is in CAS-lock's setup cone: every cycle misses and
+        # replaces the one snapshot, so the table does not grow
+        (count, nbytes, __), *later = out["snapshots"]
+        assert count == 1 and nbytes > 0
+        assert [snap[:2] for snap in later] == [[count, nbytes]] * 2
+        assert [snap[2] for snap in out["snapshots"]] == [3, 5, 7]
+
+
+#: Run in a child interpreter over a private copy of ``src/``: a daemon
+#: filled with Ticketed lock, then edits of ``ticketed.py`` and their
+#: undos through ``Watcher.handle_change``.  Per cycle it reports the
+#: snapshot table's loads and stores, and, for the first edit, the
+#: cycle's verdicts and a cold one-shot run's on the same code.
+_SNAPSHOT_CYCLES = textwrap.dedent(
+    """
+    import ast, json, os, sys
+    from pathlib import Path
+
+    from repro.engine import run_sweep
+    from repro.serve import DaemonServer, Session, Watcher, call
+
+    tmp, target = Path(sys.argv[1]), Path(sys.argv[2])
+    original = target.read_text(encoding="utf-8")
+
+    def method_line(text, cls_name, method):
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.ClassDef) and node.name == cls_name:
+                for child in node.body:
+                    if isinstance(child, ast.FunctionDef) and child.name == method:
+                        return child.body[0]
+        raise LookupError(method)
+
+    def comment_in(cls_name, method):
+        first = method_line(original, cls_name, method)
+        lines = original.splitlines(keepends=True)
+        lines.insert(first.lineno - 1, " " * first.col_offset + "# snapshot edit\\n")
+        return "".join(lines)
+
+    anchor = "    # -- initial states"
+    override = (
+        "    def env_moves(self, state: State) -> Iterator[State]:\\n"
+        "        yield from super().env_moves(state)\\n\\n"
+    )
+    assert original.count(anchor) == 1
+    edits = {
+        "ticketed-leaf": comment_in("TicketWriteResAction", "step"),
+        "transitions-comment": comment_in("TicketedLockConcurroid", "transitions"),
+        "env-moves-override": original.replace(anchor, override + anchor),
+    }
+    mtime = target.stat().st_mtime_ns
+
+    class RecordingWatcher(Watcher):
+        last_frame = None
+
+        def _verify(self, stale):
+            self.last_frame = super()._verify(stale)
+            return self.last_frame
+
+    def verdicts(programs):
+        return [
+            {k: p[k] for k in ("program", "ok", "status", "obligations", "failures")}
+            for p in programs
+        ]
+
+    session = Session(cache_dir=str(tmp / "cache"))
+    server = DaemonServer(session, socket_path=tmp / "serve.sock")
+    server.start()
+    out = {"cycles": []}
+    try:
+        call("verify", {"programs": ["Ticketed lock"]}, socket_path=server.socket_path,
+             timeout=300)
+        session.refresh_fingerprints()
+        out["fill"] = dict(session.snapshots.status())
+        watcher = RecordingWatcher(server, out=None)
+        writes = 0
+        for name, edited in edits.items():
+            for label, text in ((name, edited), (name + "/undo", original)):
+                writes += 1
+                target.write_text(text, encoding="utf-8")
+                os.utime(target, ns=(mtime + writes * 10**9,) * 2)
+                code = watcher.handle_change([str(target)])
+                payload = watcher.last_frame["payload"]
+                cycle = {"edit": label, "code": code,
+                         "reverified": payload["reverified"],
+                         "snapshots": dict(session.snapshots.status())}
+                if label == "ticketed-leaf":
+                    cold = run_sweep(["Ticketed lock"], jobs=1, cache=False, journal=False)
+                    cycle["warm"] = verdicts(payload["programs"])
+                    cycle["cold"] = verdicts(cold.to_dict()["programs"])
+                out["cycles"].append(cycle)
+        out["status"] = call("status", socket_path=server.socket_path)["payload"]
+    finally:
+        server.stop()
+    print(json.dumps(out))
+    """
+)
+
+
+class TestSnapshotCycles:
+    def test_edits_load_or_miss_by_the_closure_cone(self, tmp_path):
+        src = tmp_path / "src"
+        shutil.copytree(
+            STRUCTURES.parents[1], src, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        target = src / "repro" / "structures" / "locks" / "ticketed.py"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        env.pop("REPRO_TRACE", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", _SNAPSHOT_CYCLES, str(tmp_path), str(target)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        # the fill stored Ticketed lock's one closure
+        assert out["fill"]["count"] == 1 and out["fill"]["stores"] == 1
+        cycles = {c["edit"]: c for c in out["cycles"]}
+        assert all(c["code"] == 0 and c["reverified"] > 0 for c in out["cycles"])
+        # an action the closure never runs: both cycles load the snapshot
+        leaf, undo = cycles["ticketed-leaf"], cycles["ticketed-leaf/undo"]
+        assert (leaf["snapshots"]["loads"], leaf["snapshots"]["stores"]) == (1, 1)
+        assert (undo["snapshots"]["loads"], undo["snapshots"]["stores"]) == (2, 1)
+        for c in leaf["warm"] + leaf["cold"]:
+            for failure in c["failures"]:
+                failure.pop("seconds", None)
+        assert leaf["warm"] == leaf["cold"]
+        assert leaf["warm"][0]["ok"] is True
+        # the concurroid's own transitions, or a new env_moves override:
+        # each edit and its undo misses and replaces the one snapshot
+        stores = [
+            cycles[name]["snapshots"]["stores"]
+            for name in (
+                "transitions-comment", "transitions-comment/undo",
+                "env-moves-override", "env-moves-override/undo",
+            )
+        ]
+        assert stores == [2, 3, 4, 5]
+        assert all(c["snapshots"]["loads"] == 2 for c in out["cycles"][2:])
+        assert all(c["snapshots"]["count"] == 1 for c in out["cycles"])
+        status = out["status"]["closure_snapshots"]
+        assert status["count"] == 1 and status["bytes"] > 0
+        assert (status["loads"], status["stores"]) == (2, 5)
 
 
 # -- the equivalence gate -------------------------------------------------------
